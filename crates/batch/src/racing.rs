@@ -9,7 +9,7 @@
 //! results are discarded, and failures of higher rungs are reported as
 //! degradations exactly as the sequential driver would. Budgets are the
 //! existing per-stage ones — every attempt shares one [`Deadline`] and
-//! the configured exact-cover node cap.
+//! the configured exact-rung node cap.
 
 use std::time::Instant;
 

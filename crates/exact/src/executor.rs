@@ -23,8 +23,7 @@ pub trait ShardExecutor {
 }
 
 /// The default executor: `workers` scoped threads per round (none at all
-/// for a single worker). Mirrors the threading of
-/// `mrp_core::select_colors_exact_sharded`.
+/// for a single worker).
 #[derive(Debug, Default, Clone, Copy)]
 pub struct ScopedExecutor;
 

@@ -37,13 +37,12 @@
 //!   never report anything worse than greedy.
 //! * **Deterministic sharding.** Root-level branches become shards run
 //!   in rounds of four with a shared best-so-far bound read only at
-//!   round boundaries — the same discipline as
-//!   `mrp_core::select_colors_exact_sharded` — so the [`McmOutcome`] is
-//!   byte-identical for any worker count ([`ShardExecutor`]).
+//!   round boundaries, so the [`McmOutcome`] is byte-identical for any
+//!   worker count ([`ShardExecutor`]).
 //!
-//! Budget semantics mirror `ExactCoverOutcome`: the node cap is global
-//! across shards, `budget_exhausted` reports a clipped search, and the
-//! best-so-far solution (or the standing incumbent) is still returned.
+//! The node cap is global across shards, `budget_exhausted` reports a
+//! clipped search, and the best-so-far solution (or the standing
+//! incumbent) is still returned.
 //! See `docs/optimal.md` for the full algorithm write-up and
 //! `docs/results/optimality-gap.md` for measured gaps on the paper's
 //! 12-filter suite.

@@ -167,8 +167,7 @@ pub struct McmSolution {
     pub cost: usize,
 }
 
-/// The result of one [`solve_mcm`] call, mirroring the semantics of
-/// `mrp_core::ExactCoverOutcome`.
+/// The result of one [`solve_mcm`] call.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct McmOutcome {
     /// The best solution found that beats the incumbent (if any was
@@ -699,6 +698,7 @@ pub fn solve_mcm_with(
         // No constructible successor within the value/depth caps (only
         // reachable with extreme caps); report the incumbent standing
         // without claiming optimality.
+        mrp_obs::counter_add("exact.mcm.nodes", 1);
         return McmOutcome {
             solution: None,
             lower_bound,

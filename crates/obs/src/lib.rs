@@ -42,7 +42,7 @@
 //! # Span naming convention
 //!
 //! Dotted lowercase paths, crate first: `core.optimize`, `core.wmsc`,
-//! `core.exact`, `core.apsp`, `core.realize.seed`, `cse.hartley`,
+//! `core.apsp`, `core.realize.seed`, `cse.hartley`, `exact.mcm`,
 //! `lint.graph`, `gate.lint`. Dynamic instances carry their parameter in
 //! brackets: `rung[mrp+cse]`. See `docs/observability.md`.
 //!

@@ -13,8 +13,6 @@ use std::time::{Duration, Instant};
 pub struct StageBudget {
     /// Wall-clock limit; `None` = unlimited.
     pub deadline_ms: Option<u64>,
-    /// Node-expansion cap for the exact set-cover search.
-    pub exact_nodes: usize,
     /// Node-expansion cap for the exact branch-and-bound MCM search
     /// (the `exact` rung, `mrp-exact`).
     pub mcm_nodes: usize,
@@ -24,7 +22,6 @@ impl Default for StageBudget {
     fn default() -> Self {
         StageBudget {
             deadline_ms: None,
-            exact_nodes: mrp_core::DEFAULT_NODE_BUDGET,
             mcm_nodes: mrp_exact::DEFAULT_MCM_NODE_BUDGET,
         }
     }
@@ -102,7 +99,6 @@ mod tests {
     #[test]
     fn default_budget_matches_exact_default() {
         let b = StageBudget::default();
-        assert_eq!(b.exact_nodes, mrp_core::DEFAULT_NODE_BUDGET);
         assert_eq!(b.mcm_nodes, mrp_exact::DEFAULT_MCM_NODE_BUDGET);
         assert_eq!(b.deadline_ms, None);
     }

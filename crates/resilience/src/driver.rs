@@ -5,7 +5,7 @@
 //! [`catch_unwind`] (a panic degrades the ladder instead of crashing the
 //! caller), under the shared wall-clock [`Deadline`] (a rung that cannot
 //! start before the deadline is skipped; a rung that runs past it is
-//! abandoned on a worker thread), and with the exact-cover node cap from
+//! abandoned on a worker thread), and with the exact rung's node cap from
 //! the [`StageBudget`]. Whatever a rung produces must pass the `mrp-lint`
 //! gate and a coefficient-equivalence check before it is accepted; a
 //! netlist that fails either is treated exactly like a rung failure.
@@ -500,7 +500,6 @@ fn attempt_rung(
         });
     }
     let mut rung_cfg = config.base;
-    rung_cfg.exact_node_budget = config.budget.exact_nodes;
     rung_cfg.seed_optimizer = match rung {
         // The exact rung seeds its incumbent from the best greedy
         // combination, so it shares the MRP+CSE configuration.
@@ -563,10 +562,10 @@ fn build_exact(
     let problem = McmProblem::from_coeffs(coeffs)?;
     let mcm_cfg = McmConfig {
         node_cap: mcm_nodes,
-        workers: rung_cfg.exact_workers.max(1),
         incumbent: Some(incumbent),
         depth_limit: rung_cfg.max_depth,
         deadline: mcm_deadline,
+        ..McmConfig::default()
     };
     let out = solve_mcm(&problem, &mcm_cfg);
     let stats = ExactStats {

@@ -3,14 +3,14 @@
 //!
 //! The MRP pipeline is a multi-stage flow (SID graph → WMSC cover → root
 //! selection → SEED network → overhead adds → netlist → RTL), and several
-//! of its stages have pathological inputs: the exact set cover is
+//! of its stages have pathological inputs: the exact MCM search is
 //! exponential, the greedy heuristics have adversarial corners, and any
 //! stage bug would otherwise abort the whole request. This crate wraps
 //! the flow in a supervisor that always produces *some* valid multiplier
 //! block:
 //!
 //! * [`StageBudget`] / [`Deadline`] — wall-clock deadlines plus a node
-//!   cap for the exact cover (`budget_exhausted` surfaces as best-so-far,
+//!   cap for the exact rung (`budget_exhausted` surfaces as best-so-far,
 //!   not failure);
 //! * [`PipelineError`] — one taxonomy for every failure mode: timeouts,
 //!   caught panics, exhausted budgets, lint-gate rejections, equivalence
