@@ -37,7 +37,6 @@
 mod dot;
 mod eval;
 mod filter_structure;
-mod iir;
 mod netlist;
 mod pipeline;
 mod verilog;
@@ -46,7 +45,6 @@ mod verilog_pipelined;
 pub use dot::{to_dot, to_dot_labeled};
 pub use eval::evaluate_all;
 pub use filter_structure::{direct_fir, FirFilter};
-pub use iir::{quantize_iir, IirFixedPoint};
 pub use netlist::{AdderGraph, ArchError, Node, NodeId, Output, Term};
 pub use pipeline::{best_balanced_cut, best_cut, cut_profile, cut_registers};
 pub use verilog::emit_verilog;

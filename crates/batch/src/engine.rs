@@ -11,6 +11,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use mrp_obs::json;
 use mrp_resilience::{synthesize, PipelineError, SynthConfig, SynthOutcome};
 
 use crate::cache::{normalize_coeffs, MemoCache, SynthCache};
@@ -110,22 +111,22 @@ impl BatchReport {
             .iter()
             .map(|row| {
                 let head = format!(
-                    "{{\"name\":\"{}\",\"taps\":{},\"cache\":\"{}\"",
-                    escape(&row.name),
+                    "{{\"name\":{},\"taps\":{},\"cache\":{}",
+                    json::string(&row.name),
                     row.taps,
-                    if row.cache_hit { "hit" } else { "miss" }
+                    json::string(if row.cache_hit { "hit" } else { "miss" })
                 );
                 match &row.result {
                     Ok(cell) => format!(
-                        "{head},\"rung\":\"{}\",\"adders\":{},\"critical_path\":{},\
+                        "{head},\"rung\":{},\"adders\":{},\"critical_path\":{},\
                          \"degradations\":{},\"lint_warnings\":{}}}",
-                        escape(&cell.rung),
+                        json::string(&cell.rung),
                         cell.adders,
                         cell.critical_path,
                         cell.degradations,
                         cell.lint_warnings
                     ),
-                    Err(message) => format!("{head},\"error\":\"{}\"}}", escape(message)),
+                    Err(message) => format!("{head},\"error\":{}}}", json::string(message)),
                 }
             })
             .collect();
@@ -176,21 +177,6 @@ impl BatchReport {
         }
         out
     }
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Synthesizes every spec, sharing work through the memo cache and the

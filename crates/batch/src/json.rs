@@ -390,6 +390,35 @@ mod tests {
     }
 
     #[test]
+    fn parses_what_the_obs_writer_writes() {
+        // Characters from every class the writer treats apart: the
+        // short-escaped specials, other C0 controls, DEL, plain ASCII and
+        // multi-byte characters.
+        const CLASSES: [&[char]; 5] = [
+            &['"', '\\', '\n', '\r', '\t'],
+            &['\u{0}', '\u{1}', '\u{8}', '\u{c}', '\u{1b}', '\u{1f}'],
+            &['\u{7f}'],
+            &['a', 'Z', '0', ' ', '/', '~'],
+            &['é', '✓', '𝄞', '\u{80}', '\u{ffff}'],
+        ];
+        mrp_ptest::run_cases("json_writer_round_trips", 256, |rng| {
+            let len = rng.usize_in(0, 24);
+            let s: String = (0..len)
+                .map(|_| {
+                    let class = CLASSES[rng.usize_in(0, CLASSES.len())];
+                    class[rng.usize_in(0, class.len())]
+                })
+                .collect();
+            let written = mrp_obs::json::string(&s);
+            assert_eq!(
+                parse_json(&written).unwrap().as_str(),
+                Some(s.as_str()),
+                "{written}"
+            );
+        });
+    }
+
+    #[test]
     fn float_is_not_an_i64() {
         assert_eq!(parse_json("1.5").unwrap().as_i64(), None);
         assert_eq!(parse_json("2.0").unwrap().as_i64(), Some(2));

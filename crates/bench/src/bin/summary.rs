@@ -311,11 +311,11 @@ fn main() {
                 gap_rows
                     .iter()
                     .map(|r| format!(
-                        "{{\"example\":{},\"label\":\"{}\",\"taps\":{},\"greedy_adders\":{},\
+                        "{{\"example\":{},\"label\":{},\"taps\":{},\"greedy_adders\":{},\
                          \"exact_adders\":{},\"lower_bound\":{},\"gap_pct\":{:.4},\"nodes\":{},\
                          \"budget_exhausted\":{},\"proven_optimal\":{}}}",
                         r.example,
-                        r.label,
+                        mrp_obs::json::string(&r.label),
                         r.taps,
                         r.greedy_adders,
                         r.exact_adders,

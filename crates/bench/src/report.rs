@@ -10,6 +10,8 @@
 use std::io;
 use std::path::{Path, PathBuf};
 
+use mrp_obs::json;
+
 /// Ordered JSON-object builder for one bench run.
 #[derive(Debug, Clone)]
 pub struct BenchReport {
@@ -24,7 +26,7 @@ impl BenchReport {
             name: name.to_string(),
             fields: Vec::new(),
         };
-        r.push_raw("bench", format!("\"{}\"", escape(name)));
+        r.push_raw("bench", json::string(name));
         r
     }
 
@@ -34,7 +36,7 @@ impl BenchReport {
 
     /// Adds a string field.
     pub fn str_field(&mut self, key: &str, value: &str) -> &mut Self {
-        self.push_raw(key, format!("\"{}\"", escape(value)));
+        self.push_raw(key, json::string(value));
         self
     }
 
@@ -46,12 +48,7 @@ impl BenchReport {
 
     /// Adds a float field (non-finite values become `null`).
     pub fn float(&mut self, key: &str, value: f64) -> &mut Self {
-        let raw = if value.is_finite() {
-            format!("{value}")
-        } else {
-            "null".to_string()
-        };
-        self.push_raw(key, raw);
+        self.push_raw(key, json::number(value));
         self
     }
 
@@ -67,14 +64,7 @@ impl BenchReport {
     pub fn float_map(&mut self, key: &str, entries: &[(&str, f64)]) -> &mut Self {
         let body: Vec<String> = entries
             .iter()
-            .map(|(k, v)| {
-                let raw = if v.is_finite() {
-                    format!("{v}")
-                } else {
-                    "null".to_string()
-                };
-                format!("\"{}\":{raw}", escape(k))
-            })
+            .map(|(k, v)| format!("{}:{}", json::string(k), json::number(*v)))
             .collect();
         self.push_raw(key, format!("{{{}}}", body.join(",")));
         self
@@ -85,7 +75,7 @@ impl BenchReport {
         let body: Vec<String> = self
             .fields
             .iter()
-            .map(|(k, v)| format!("\"{}\":{v}", escape(k)))
+            .map(|(k, v)| format!("{}:{v}", json::string(k)))
             .collect();
         format!("{{{}}}", body.join(","))
     }
@@ -129,20 +119,6 @@ pub fn workspace_root() -> PathBuf {
         .nth(2)
         .expect("crates/bench has a workspace root two levels up")
         .to_path_buf()
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -29,24 +29,31 @@ impl std::error::Error for ParseArgsError {}
 impl Args {
     /// Parses raw tokens (without the program name).
     ///
-    /// Tokens starting with `--` become options when followed by a
-    /// non-`--` token, flags otherwise; everything else is positional.
+    /// `--name` is a flag when `flags` lists it, and never takes a value;
+    /// any other `--name` is an option and takes the next token as its
+    /// value. Everything else is positional.
     ///
     /// # Errors
     ///
-    /// Returns [`ParseArgsError`] when no subcommand is present.
+    /// Returns [`ParseArgsError`] when no subcommand is present, or when
+    /// an option is last or followed by another `--` token.
     ///
     /// # Examples
     ///
     /// ```
     /// use mrp_cli::args::Args;
-    /// let a = Args::parse(["design", "--order", "32", "--verbose"].map(String::from))?;
+    /// let tokens = ["design", "--verbose", "x", "--order", "32"].map(String::from);
+    /// let a = Args::parse(tokens, &["verbose"])?;
     /// assert_eq!(a.command, "design");
     /// assert_eq!(a.get_usize("order", 0)?, 32);
     /// assert!(a.flag("verbose"));
+    /// assert_eq!(a.positional, ["x"]);
     /// # Ok::<(), Box<dyn std::error::Error>>(())
     /// ```
-    pub fn parse(tokens: impl IntoIterator<Item = String>) -> Result<Self, ParseArgsError> {
+    pub fn parse(
+        tokens: impl IntoIterator<Item = String>,
+        flags: &[&str],
+    ) -> Result<Self, ParseArgsError> {
         let mut tokens = tokens.into_iter().peekable();
         let command = tokens
             .next()
@@ -62,11 +69,13 @@ impl Args {
         };
         while let Some(tok) = tokens.next() {
             if let Some(name) = tok.strip_prefix("--") {
-                match tokens.next_if(|next| !next.starts_with("--")) {
-                    Some(value) => {
-                        args.options.insert(name.to_string(), value);
-                    }
-                    None => args.flags.push(name.to_string()),
+                if flags.contains(&name) {
+                    args.flags.push(name.to_string());
+                } else {
+                    let value = tokens
+                        .next_if(|next| !next.starts_with("--"))
+                        .ok_or_else(|| ParseArgsError(format!("--{name} expects a value")))?;
+                    args.options.insert(name.to_string(), value);
                 }
             } else {
                 args.positional.push(tok);
@@ -137,14 +146,18 @@ impl Args {
 mod tests {
     use super::*;
 
+    fn try_parse(tokens: &[&str]) -> Result<Args, ParseArgsError> {
+        Args::parse(tokens.iter().map(|s| s.to_string()), &["cse"])
+    }
+
     fn parse(tokens: &[&str]) -> Args {
-        Args::parse(tokens.iter().map(|s| s.to_string())).unwrap()
+        try_parse(tokens).unwrap()
     }
 
     #[test]
     fn subcommand_required() {
-        assert!(Args::parse(std::iter::empty()).is_err());
-        assert!(Args::parse(["--oops".to_string()]).is_err());
+        assert!(try_parse(&[]).is_err());
+        assert!(try_parse(&["--oops"]).is_err());
     }
 
     #[test]
@@ -158,6 +171,21 @@ mod tests {
         let b = parse(&["optimize", "--depth", "3", "7,9"]);
         assert_eq!(b.get_usize("depth", 0).unwrap(), 3);
         assert_eq!(b.positional, vec!["7,9"]);
+        // A flag never does.
+        let c = parse(&["optimize", "--cse", "7,9"]);
+        assert!(c.flag("cse"));
+        assert_eq!(c.positional, vec!["7,9"]);
+    }
+
+    #[test]
+    fn options_without_a_value_are_rejected() {
+        for tokens in [
+            &["optimize", "--depth"][..],
+            &["optimize", "--depth", "--cse"],
+        ] {
+            let err = try_parse(tokens).unwrap_err();
+            assert_eq!(err.0, "--depth expects a value", "{tokens:?}");
+        }
     }
 
     #[test]

@@ -12,8 +12,9 @@ use mrp_core::{adder_report, MrpConfig, MrpOptimizer, SeedOptimizer};
 use mrp_filters::{butterworth_fir, least_squares, remez, FilterSpec};
 use mrp_lint::{lint_graph, lint_verilog, LintConfig};
 use mrp_numrep::{quantize, Repr, Scaling};
-use mrp_resilience::{synthesize, FaultPlan, Rung, StageBudget, SynthConfig};
-use mrp_serve::{run_chaos, run_load, ChaosOptions, LoadOptions, ServeOptions, Server};
+use mrp_obs::json;
+use mrp_resilience::{synthesize, FaultPlan, PipelineSummary, Rung, StageBudget, SynthConfig};
+use mrp_serve::{run_chaos, ChaosOptions, ServeOptions, Server};
 
 use crate::args::{Args, ParseArgsError};
 
@@ -115,28 +116,21 @@ USAGE:
                  well-formed probes; fails, with nonzero exit, if any
                  probe's bytes diverge from the pre-storm baseline or
                  the server is unhealthy afterwards)
-  mrpf load     [--addr HOST:PORT] [--rate RPS] [--duration-ms MS]
-                [--synth-pct P] [--seed N] [--jobs N] [--json]
-                [--out FILE]
-                (open-loop load generator against a running mrpf serve:
-                 requests depart on a fixed arrival schedule so measured
-                 latency includes any server-induced delay — no
-                 coordinated omission; mixes POST /synth and POST /batch
-                 per --synth-pct, reports throughput and p50/p90/p99/
-                 p999 per route, and verifies every response carries an
-                 X-Request-Id; --out writes the BENCH_serve.json report;
-                 nonzero exit on any error or missing request ID)
   mrpf help
 
 Anywhere a C0,C1,... coefficient list is expected, suite:N (N in 1..=12)
 substitutes the Nth paper example filter quantized to 12 bits. batch and
 serve also take synth's --repr, --beta, --depth, --seed and
---pipeline-depth. An option a subcommand does not read is an error.
+--pipeline-depth. --json, --exact, --compiled and --racing are flags and
+take no value; every other option takes one. An option or argument a
+subcommand does not read is an error.
 ";
 
 /// The handler of one subcommand.
 type Command = fn(&Args) -> Result<String, CliError>;
 
+/// The options that are flags: they never take a value.
+pub const FLAGS: &[&str] = &["json", "exact", "compiled", "racing"];
 /// Options read by [`parse_config`], space-separated.
 const CONFIG_OPTIONS: &str = "repr beta depth seed";
 /// Options read by [`parse_synth_config`] on top of [`CONFIG_OPTIONS`].
@@ -145,27 +139,42 @@ const SYNTH_OPTIONS: &str =
 /// Observability export files.
 const OBS_OPTIONS: &str = "trace metrics";
 
-/// A subcommand's handler and the options it reads, as space-separated
-/// lists; `None` for an unknown subcommand.
-fn subcommand(name: &str) -> Option<(Command, &'static [&'static str])> {
+/// A subcommand's handler, how many positional arguments it reads, and
+/// the options it reads, as space-separated lists; `None` for an unknown
+/// subcommand.
+fn subcommand(name: &str) -> Option<(Command, usize, &'static [&'static str])> {
     Some(match name {
-        "design" => (design, &["kind fp fs fp2 fs2 rp rs order method w scaling"]),
-        "optimize" => (optimize, &[CONFIG_OPTIONS]),
-        "emit" => (emit, &[CONFIG_OPTIONS, "name width"]),
-        "compare" => (compare, &[]),
-        "respond" => (respond, &["points"]),
-        "lint" => (lint, &[CONFIG_OPTIONS, "width fanout growth-bound json"]),
-        "analyze" => (analyze, &[CONFIG_OPTIONS, "width json pipeline-depth dot"]),
+        "design" => (
+            design,
+            0,
+            &["kind fp fs fp2 fs2 rp rs order method w scaling"],
+        ),
+        "optimize" => (optimize, 1, &[CONFIG_OPTIONS]),
+        "emit" => (emit, 1, &[CONFIG_OPTIONS, "name width"]),
+        "compare" => (compare, 1, &[]),
+        "respond" => (respond, 1, &["points"]),
+        "lint" => (lint, 1, &[CONFIG_OPTIONS, "width fanout growth-bound json"]),
+        "analyze" => (
+            analyze,
+            1,
+            &[CONFIG_OPTIONS, "width json pipeline-depth dot"],
+        ),
         "sim" => (
             sim,
+            1,
             &[
                 CONFIG_OPTIONS,
                 "samples compiled lanes pipeline-depth noise-seed amp json",
             ],
         ),
-        "synth" => (synth, &[CONFIG_OPTIONS, SYNTH_OPTIONS, OBS_OPTIONS, "json"]),
+        "synth" => (
+            synth,
+            1,
+            &[CONFIG_OPTIONS, SYNTH_OPTIONS, OBS_OPTIONS, "json"],
+        ),
         "batch" => (
             batch,
+            1,
             &[
                 CONFIG_OPTIONS,
                 SYNTH_OPTIONS,
@@ -175,6 +184,7 @@ fn subcommand(name: &str) -> Option<(Command, &'static [&'static str])> {
         ),
         "serve" => (
             serve,
+            0,
             &[
                 CONFIG_OPTIONS,
                 SYNTH_OPTIONS,
@@ -182,11 +192,7 @@ fn subcommand(name: &str) -> Option<(Command, &'static [&'static str])> {
                 "addr jobs queue racing store",
             ],
         ),
-        "chaos" => (chaos, &["addr requests seed json"]),
-        "load" => (
-            load,
-            &["addr rate duration-ms synth-pct seed jobs json out"],
-        ),
+        "chaos" => (chaos, 0, &["addr requests seed json"]),
         _ => return None,
     })
 }
@@ -204,14 +210,22 @@ fn reads(options: &[&str], option: &str) -> bool {
 /// # Errors
 ///
 /// Returns [`CliError`] with a user-facing message for any invalid input,
-/// including any option the subcommand does not read.
+/// including any option or positional argument the subcommand does not
+/// read.
 pub fn run(args: &Args) -> Result<String, CliError> {
     if matches!(args.command.as_str(), "help" | "--help" | "-h") {
         return Ok(USAGE.to_string());
     }
-    let Some((command, options)) = subcommand(&args.command) else {
+    let Some((command, positional, options)) = subcommand(&args.command) else {
         bail!("unknown subcommand `{}`\n\n{USAGE}", args.command);
     };
+    if let Some(extra) = args.positional.get(positional) {
+        bail!(
+            "`mrpf {}` does not take the argument `{extra}`; {}",
+            args.command,
+            crate::USAGE_HINT
+        );
+    }
     let unknown: Vec<String> = args
         .names()
         .into_iter()
@@ -464,20 +478,15 @@ fn analyze(args: &Args) -> Result<String, CliError> {
         let path_json: Vec<String> = cp.path.iter().map(usize::to_string).collect();
         let pipeline_json = match &pipelined {
             None => String::new(),
-            Some((net, delta)) => format!(
-                ",\"pipeline\":{{\"latency\":{},\"stage_depth\":{},\
-                 \"combinational_depth\":{},\"registers\":{},\"retime_moves\":{}}}",
-                delta.latency,
-                delta.stage_depth,
-                delta.combinational_depth,
-                net.register_count(),
-                delta.retime_moves
+            Some((_, delta)) => format!(
+                ",\"pipeline\":{}",
+                PipelineSummary::from(delta).render_json()
             ),
         };
         let computed: Vec<String> = az
             .computed_names()
             .iter()
-            .map(|name| format!("\"{name}\""))
+            .map(|name| json::string(name))
             .collect();
         return Ok(format!(
             "{{\"nodes\":{n},\"adders\":{},\"outputs\":{outputs},\
@@ -674,13 +683,14 @@ fn sim(args: &Args) -> Result<String, CliError> {
 
     if args.flag("json") {
         return Ok(format!(
-            "{{\"taps\":{},\"mode\":\"{mode}\",\"samples\":{samples},\
+            "{{\"taps\":{},\"mode\":{},\"samples\":{samples},\
              \"oracle_samples\":{oracle_len},\"lanes\":{lanes},\
              \"latency\":{latency},\"insts\":{},\
              \"compiled_samples_per_sec\":{compiled_rate:.1},\
              \"tree_samples_per_sec\":{tree_rate:.1},\
              \"speedup\":{speedup:.2},\"equivalent\":true}}",
             coeffs.len(),
+            json::string(mode),
             program.insts.len(),
         ));
     }
@@ -980,49 +990,6 @@ fn chaos(args: &Args) -> Result<String, CliError> {
     }
 }
 
-fn load(args: &Args) -> Result<String, CliError> {
-    let rate = args.get_f64("rate", 20.0)?;
-    if !(rate.is_finite() && rate > 0.0 && rate <= 10_000.0) {
-        bail!("--rate must be within (0, 10000] requests/second");
-    }
-    let duration_ms = args.get_usize("duration-ms", 2000)? as u64;
-    if duration_ms == 0 || duration_ms > 600_000 {
-        bail!("--duration-ms must be within 1..=600000");
-    }
-    let synth_pct = args.get_usize("synth-pct", 70)? as u32;
-    if synth_pct > 100 {
-        bail!("--synth-pct must be within 0..=100");
-    }
-    let jobs = args.get_usize("jobs", 2)?;
-    if jobs == 0 || jobs > 256 {
-        bail!("--jobs must be within 1..=256");
-    }
-    let options = LoadOptions {
-        addr: args.get_str("addr", "127.0.0.1:7878"),
-        rate,
-        duration_ms,
-        synth_pct,
-        seed: args.get_usize("seed", 1)? as u64,
-        jobs,
-    };
-    let report = run_load(&options).map_err(CliError)?;
-    if let Some(out) = args.get("out") {
-        std::fs::write(out, report.render_json())
-            .map_err(|e| CliError(format!("cannot write report `{out}`: {e}")))?;
-    }
-    let rendered = if args.flag("json") {
-        report.render_json()
-    } else {
-        report.render_pretty()
-    };
-    // Like `chaos`, a failed run is a nonzero exit so CI can gate on it.
-    if report.passed() {
-        Ok(rendered)
-    } else {
-        Err(CliError(rendered))
-    }
-}
-
 fn write_observability_file(path: &str, contents: &str) -> Result<(), CliError> {
     std::fs::write(path, contents)
         .map_err(|e| CliError(format!("cannot write observability file `{path}`: {e}")))
@@ -1053,7 +1020,7 @@ mod tests {
     use super::*;
 
     fn run_line(line: &str) -> Result<String, CliError> {
-        let args = Args::parse(line.split_whitespace().map(String::from))?;
+        let args = Args::parse(line.split_whitespace().map(String::from), FLAGS)?;
         run(&args)
     }
 
@@ -1064,7 +1031,10 @@ mod tests {
 
     #[test]
     fn unknown_command_errors() {
-        assert!(run_line("frobnicate").is_err());
+        for line in ["frobnicate", "load --rate 40"] {
+            let err = run_line(line).unwrap_err();
+            assert!(err.0.contains("unknown subcommand"), "{line}: {err}");
+        }
     }
 
     #[test]
@@ -1453,19 +1423,6 @@ mod tests {
         assert!(err.0.contains("baseline probe failed"), "unexpected: {err}");
     }
 
-    // Like `chaos`, a load run needs a live server; unit tests reach
-    // only validation and the health-probe setup error.
-    #[test]
-    fn load_rejects_bad_inputs_and_reports_dead_targets() {
-        assert!(run_line("load --rate 0").is_err());
-        assert!(run_line("load --rate 99999").is_err());
-        assert!(run_line("load --duration-ms 0").is_err());
-        assert!(run_line("load --synth-pct 101").is_err());
-        assert!(run_line("load --jobs 0").is_err());
-        let err = run_line("load --addr 127.0.0.1:1 --duration-ms 100").unwrap_err();
-        assert!(err.0.contains("health probe"), "unexpected: {err}");
-    }
-
     #[test]
     fn unknown_options_are_rejected_before_any_work() {
         for (line, option) in [
@@ -1484,11 +1441,21 @@ mod tests {
     }
 
     #[test]
+    fn flags_take_no_value_and_unread_arguments_are_rejected() {
+        let out = run_line("synth --json 70,66,17,9").unwrap();
+        assert!(out.contains("\"rung\":\"mrp+cse\""), "{out}");
+        let out = run_line("lint --json suite:2").unwrap();
+        assert!(out.contains("\"diagnostics\""), "{out}");
+        let err = run_line("synth suite:1 --exact 5").unwrap_err();
+        assert!(err.0.contains("does not take the argument `5`"), "{err}");
+    }
+
+    #[test]
     fn usage_lists_only_options_the_subcommand_reads() {
         let commands = USAGE.split("\n  mrpf help").next().unwrap();
         for section in commands.split("\n  mrpf ").skip(1) {
             let name = section.split_whitespace().next().unwrap();
-            let (_, options) = subcommand(name).unwrap();
+            let (_, _, options) = subcommand(name).unwrap();
             for token in section.split("--").skip(1) {
                 let option: String = token
                     .chars()
@@ -1506,7 +1473,7 @@ mod tests {
     fn usage_covers_every_subcommand() {
         for name in [
             "design", "optimize", "emit", "compare", "respond", "lint", "analyze", "sim", "synth",
-            "batch", "serve", "chaos", "load",
+            "batch", "serve", "chaos",
         ] {
             assert!(USAGE.contains(&format!("mrpf {name}")), "missing {name}");
         }
@@ -1580,7 +1547,7 @@ mod respond_tests {
     use crate::args::Args;
 
     fn run_line(line: &str) -> Result<String, CliError> {
-        let args = Args::parse(line.split_whitespace().map(String::from))?;
+        let args = Args::parse(line.split_whitespace().map(String::from), FLAGS)?;
         run(&args)
     }
 

@@ -20,7 +20,7 @@
 pub mod args;
 mod commands;
 
-pub use commands::{run, CliError, USAGE};
+pub use commands::{run, CliError, FLAGS, USAGE};
 
 /// Short hint appended to argument-parsing errors.
 pub const USAGE_HINT: &str = "run `mrpf help` for usage";

@@ -37,7 +37,6 @@
 mod butterworth;
 mod examples;
 mod halfband;
-pub mod iir;
 mod kaiser;
 mod leastsq;
 mod linalg;

@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use mrp_obs::json;
+
 /// How serious a diagnostic is.
 ///
 /// `Error` means the netlist or RTL is wrong (or cannot be proven right);
@@ -311,16 +313,16 @@ impl LintReport {
                 out.push(',');
             }
             out.push_str(&format!(
-                "{{\"code\":\"{}\",\"severity\":\"{}\",\"message\":{}",
-                d.code,
-                d.severity,
-                json_string(&d.message)
+                "{{\"code\":{},\"severity\":{},\"message\":{}",
+                json::string(d.code.as_str()),
+                json::string(&d.severity.to_string()),
+                json::string(&d.message)
             ));
             if let Some(n) = d.node {
                 out.push_str(&format!(",\"node\":{n}"));
             }
             if let Some(s) = &d.signal {
-                out.push_str(&format!(",\"signal\":{}", json_string(s)));
+                out.push_str(&format!(",\"signal\":{}", json::string(s)));
             }
             out.push('}');
         }
@@ -340,25 +342,6 @@ impl LintReport {
         ));
         out
     }
-}
-
-/// Escapes a string as a JSON string literal.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -411,7 +394,12 @@ mod tests {
 
     #[test]
     fn json_escapes_specials() {
-        assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+        let mut r = LintReport::default();
+        r.push(Diagnostic::new(LintCode::DeadNode, "a\"b\\c\nd").at_signal("s\"\t"));
+        let j = r.render_json();
+        assert!(j.contains(r#""message":"a\"b\\c\nd""#), "{j}");
+        assert!(j.contains(r#""signal":"s\"\t""#), "{j}");
+        assert!(!j.contains('\n') && !j.contains('\t'), "{j}");
     }
 
     #[test]

@@ -10,22 +10,7 @@
 //! [Perfetto]: https://ui.perfetto.dev
 
 use crate::collector::{Event, Phase};
-
-/// Escapes a string for embedding inside a JSON string literal.
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
+use crate::json;
 
 fn phase_str(phase: Phase) -> &'static str {
     match phase {
@@ -41,9 +26,9 @@ pub(crate) fn export(events: &[Event]) -> String {
     for e in events {
         let ts_us = e.ts_ns as f64 / 1000.0;
         let mut row = format!(
-            "{{\"name\":\"{}\",\"cat\":\"mrpf\",\"ph\":\"{}\",\"pid\":1,\"tid\":{},\"ts\":{:.3}",
-            json_escape(&e.name),
-            phase_str(e.phase),
+            "{{\"name\":{},\"cat\":\"mrpf\",\"ph\":{},\"pid\":1,\"tid\":{},\"ts\":{:.3}",
+            json::string(&e.name),
+            json::string(phase_str(e.phase)),
             e.tid,
             ts_us
         );
@@ -53,8 +38,8 @@ pub(crate) fn export(events: &[Event]) -> String {
         }
         if let Some(parent) = e.parent {
             row.push_str(&format!(
-                ",\"args\":{{\"parent\":\"{}\"}}",
-                json_escape(parent)
+                ",\"args\":{{\"parent\":{}}}",
+                json::string(parent)
             ));
         }
         row.push('}');
@@ -82,7 +67,9 @@ mod tests {
 
     #[test]
     fn escapes_specials() {
-        assert_eq!(json_escape("a\"b\\c\nd\u{1}"), "a\\\"b\\\\c\\nd\\u0001");
+        let json = export(&[ev("a\"b\\c\nd\u{1}", Phase::Instant, 0, Some("p\"q"))]);
+        assert!(json.contains(r#""name":"a\"b\\c\nd\u0001""#), "{json}");
+        assert!(json.contains(r#""args":{"parent":"p\"q"}"#), "{json}");
     }
 
     #[test]

@@ -20,7 +20,9 @@
 //!   [`RELATIVE_ERROR_BOUND`]);
 //! * **exporters** — [`export_chrome_trace`] (loadable in
 //!   `chrome://tracing` / Perfetto) and [`export_metrics_json`] (flat
-//!   machine-readable JSON).
+//!   machine-readable JSON);
+//! * **[`json`]** — the string and number writer every JSON emitter in
+//!   the workspace goes through.
 //!
 //! # Cheap when off
 //!
@@ -68,6 +70,7 @@
 mod chrome;
 mod collector;
 mod histogram;
+pub mod json;
 mod metrics;
 
 pub use collector::{

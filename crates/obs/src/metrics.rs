@@ -12,6 +12,7 @@ use std::collections::BTreeMap;
 use std::sync::Mutex;
 
 use crate::histogram::{Histogram, Quantiles};
+use crate::json;
 
 /// Aggregated histogram state, as reported by
 /// [`histogram_summary`](crate::histogram_summary): no samples, just the
@@ -146,14 +147,14 @@ impl MetricsRegistry {
         let counters: Vec<String> = m
             .counters
             .iter()
-            .map(|(k, v)| format!("\"{}\":{v}", crate::chrome::json_escape(k)))
+            .map(|(k, v)| format!("{}:{v}", json::string(k)))
             .collect();
         out.push_str(&counters.join(","));
         out.push_str("},\"gauges\":{");
         let gauges: Vec<String> = m
             .gauges
             .iter()
-            .map(|(k, v)| format!("\"{}\":{}", crate::chrome::json_escape(k), json_number(*v)))
+            .map(|(k, v)| format!("{}:{}", json::string(k), json::number(*v)))
             .collect();
         out.push_str(&gauges.join(","));
         out.push_str("},\"histograms\":{");
@@ -163,33 +164,24 @@ impl MetricsRegistry {
             .map(|(k, h)| {
                 let q = h.quantiles();
                 format!(
-                    "\"{}\":{{\"count\":{},\"min\":{},\"max\":{},\"sum\":{},\"mean\":{},\
+                    "{}:{{\"count\":{},\"min\":{},\"max\":{},\"sum\":{},\"mean\":{},\
                      \"quantiles\":{{\"p50\":{},\"p90\":{},\"p99\":{},\"p999\":{}}}}}",
-                    crate::chrome::json_escape(k),
+                    json::string(k),
                     h.count(),
-                    json_number(h.min()),
-                    json_number(h.max()),
-                    json_number(h.sum()),
-                    json_number(h.mean()),
-                    json_number(q.p50),
-                    json_number(q.p90),
-                    json_number(q.p99),
-                    json_number(q.p999),
+                    json::number(h.min()),
+                    json::number(h.max()),
+                    json::number(h.sum()),
+                    json::number(h.mean()),
+                    json::number(q.p50),
+                    json::number(q.p90),
+                    json::number(q.p99),
+                    json::number(q.p999),
                 )
             })
             .collect();
         out.push_str(&hists.join(","));
         out.push_str("}}");
         out
-    }
-}
-
-/// Renders an `f64` as valid JSON (JSON has no NaN/Infinity literals).
-pub(crate) fn json_number(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
     }
 }
 

@@ -26,12 +26,13 @@ use std::sync::mpsc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use mrp_analysis::{pipeline_and_retime, AnalysisContext, Analyzer};
+use mrp_analysis::{pipeline_and_retime, AnalysisContext, Analyzer, TransformDelta};
 use mrp_arch::{AdderGraph, Term};
 use mrp_core::{realize_cse, realize_simple, MrpConfig, MrpOptimizer, SeedOptimizer};
 use mrp_exact::{realize_recipes, solve_mcm, McmConfig, McmProblem};
 use mrp_lint::{lint_graph, lint_pipelined, LintConfig, Severity};
 use mrp_numrep::Repr;
+use mrp_obs::json;
 
 use crate::budget::{Deadline, StageBudget};
 use crate::error::{Degradation, PipelineError};
@@ -111,7 +112,33 @@ pub struct PipelineSummary {
     pub retime_moves: usize,
 }
 
+impl From<&TransformDelta> for PipelineSummary {
+    fn from(delta: &TransformDelta) -> Self {
+        PipelineSummary {
+            combinational_depth: delta.combinational_depth,
+            stage_depth: delta.stage_depth,
+            latency: delta.latency,
+            registers: delta.registers_after,
+            retime_moves: delta.retime_moves,
+        }
+    }
+}
+
 impl PipelineSummary {
+    /// The `pipeline` object of `mrpf synth --json` and
+    /// `mrpf analyze --json`.
+    pub fn render_json(&self) -> String {
+        format!(
+            "{{\"latency\":{},\"stage_depth\":{},\"combinational_depth\":{},\
+             \"registers\":{},\"retime_moves\":{}}}",
+            self.latency,
+            self.stage_depth,
+            self.combinational_depth,
+            self.registers,
+            self.retime_moves
+        )
+    }
+
     /// Critical-path reduction the pipeline bought, in percent.
     pub fn reduction_pct(&self) -> f64 {
         if self.combinational_depth == 0 {
@@ -252,10 +279,10 @@ impl SynthOutcome {
             .iter()
             .map(|d| {
                 format!(
-                    "{{\"rung\":\"{}\",\"kind\":\"{}\",\"reason\":\"{}\"}}",
-                    d.rung,
-                    d.error.kind(),
-                    json_escape(&d.error.to_string())
+                    "{{\"rung\":{},\"kind\":{},\"reason\":{}}}",
+                    json::string(d.rung.name()),
+                    json::string(d.error.kind()),
+                    json::string(&d.error.to_string())
                 )
             })
             .collect();
@@ -272,22 +299,21 @@ impl SynthOutcome {
                     ),
                 };
                 format!(
-                    "{{\"rung\":\"{}\",\"elapsed_ms\":{},\"accepted\":{}{}}}",
-                    a.rung, a.elapsed_ms, a.accepted, exact
+                    "{{\"rung\":{},\"elapsed_ms\":{},\"accepted\":{}{}}}",
+                    json::string(a.rung.name()),
+                    a.elapsed_ms,
+                    a.accepted,
+                    exact
                 )
             })
             .collect();
         let pipeline = match &self.pipeline {
             None => String::new(),
-            Some(p) => format!(
-                ",\"pipeline\":{{\"latency\":{},\"stage_depth\":{},\
-                 \"combinational_depth\":{},\"registers\":{},\"retime_moves\":{}}}",
-                p.latency, p.stage_depth, p.combinational_depth, p.registers, p.retime_moves
-            ),
+            Some(p) => format!(",\"pipeline\":{}", p.render_json()),
         };
         format!(
-            "{{\"rung\":\"{}\",\"degraded\":{},\"adders\":{},\"critical_path\":{},\"lint_warnings\":{},\"elapsed_ms\":{}{},\"attempts\":[{}],\"degradations\":[{}]}}",
-            self.rung,
+            "{{\"rung\":{},\"degraded\":{},\"adders\":{},\"critical_path\":{},\"lint_warnings\":{},\"elapsed_ms\":{}{},\"attempts\":[{}],\"degradations\":[{}]}}",
+            json::string(self.rung.name()),
             self.degraded(),
             self.adders(),
             self.graph.max_depth(),
@@ -298,21 +324,6 @@ impl SynthOutcome {
             degradations.join(",")
         )
     }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Synthesizes `coeffs` under supervision, degrading down the fallback
@@ -746,13 +757,7 @@ fn pipeline_gate(
     if let Some((label, input)) = verdict {
         return Err(PipelineError::NotEquivalent { label, input });
     }
-    Ok(PipelineSummary {
-        combinational_depth: delta.combinational_depth,
-        stage_depth: delta.stage_depth,
-        latency: delta.latency,
-        registers: delta.registers_after,
-        retime_moves: delta.retime_moves,
-    })
+    Ok(PipelineSummary::from(&delta))
 }
 
 #[cfg(test)]
@@ -962,7 +967,21 @@ mod tests {
 
     #[test]
     fn json_escape_handles_quotes_and_newlines() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        let cfg = SynthConfig {
+            faults: FaultPlan::parse("panic@mrp+cse").unwrap(),
+            ..SynthConfig::default()
+        };
+        let mut out = synthesize(&PAPER, &cfg).unwrap();
+        out.degradations[0].error = PipelineError::Panic {
+            stage: "synth".into(),
+            message: "a\"b\\c\nd".into(),
+        };
+        let json = out.render_json();
+        assert!(
+            json.contains(r#""reason":"synth: panicked: a\"b\\c\nd""#),
+            "{json}"
+        );
+        assert!(!json.contains('\n'), "{json}");
     }
 
     #[test]

@@ -20,10 +20,10 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-use mrp_obs::Histogram;
+use mrp_obs::{json, Histogram};
 use mrp_ptest::Rng;
 
-use crate::trace::{jnum, ms};
+use crate::trace::ms;
 
 /// How long the chaos client waits on any one socket operation. Attacks
 /// abandon their connections long before this.
@@ -148,7 +148,7 @@ impl ChaosReport {
         let attacks = self
             .attacks
             .iter()
-            .map(|(name, count)| format!("\"{name}\":{count}"))
+            .map(|(name, count)| format!("{}:{count}", json::string(name)))
             .collect::<Vec<_>>()
             .join(",");
         let q = self.probe_ms.quantiles();
@@ -162,10 +162,10 @@ impl ChaosReport {
             self.probe_errors,
             self.healthy,
             self.probe_ms.count(),
-            jnum(q.p50),
-            jnum(q.p90),
-            jnum(q.p99),
-            jnum(q.p999),
+            json::number(q.p50),
+            json::number(q.p90),
+            json::number(q.p99),
+            json::number(q.p999),
             self.passed()
         )
     }

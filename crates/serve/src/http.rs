@@ -9,6 +9,8 @@
 
 use std::io::{Read, Write};
 
+use mrp_obs::json;
+
 /// Cap on the request line + headers (bytes).
 pub(crate) const MAX_HEAD_BYTES: usize = 16 * 1024;
 /// Cap on the number of header lines; more is either a confused client
@@ -190,22 +192,7 @@ pub(crate) fn respond(
 
 /// `{"error":"…"}` with proper escaping.
 pub(crate) fn error_body(message: &str) -> String {
-    format!("{{\"error\":\"{}\"}}\n", json_escape(message))
-}
-
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
+    format!("{{\"error\":{}}}\n", json::string(message))
 }
 
 fn reason(status: u16) -> &'static str {
@@ -469,6 +456,9 @@ mod tests {
 
     #[test]
     fn escape_covers_controls() {
-        assert_eq!(json_escape("a\"b\\c\nd\u{1}"), "a\\\"b\\\\c\\nd\\u0001");
+        assert_eq!(
+            error_body("a\"b\\c\nd\u{1}"),
+            "{\"error\":\"a\\\"b\\\\c\\nd\\u0001\"}\n"
+        );
     }
 }

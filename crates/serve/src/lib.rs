@@ -20,9 +20,9 @@
 //! carries an `X-Request-Id` header from a deterministic per-server
 //! counter. Completed requests record per-phase timings (admission,
 //! read, pool queue wait, synthesis, coalesce wait, response write)
-//! into `mrp-obs` log-bucketed histograms; `mrpf load` (the [`load`]
-//! module) drives an open-loop request mix against a live server and
-//! writes the `BENCH_serve.json` latency/throughput trajectory.
+//! into `mrp-obs` log-bucketed histograms. The `serve-zipf` workload of
+//! the repository's benchmark (`mrpfbench/`) measures the served path
+//! under open-loop load.
 //!
 //! # Invariants
 //!
@@ -65,13 +65,11 @@
 pub mod chaos;
 mod coalesce;
 mod http;
-pub mod load;
 mod routes;
 mod server;
 pub mod signal;
 mod trace;
 
 pub use chaos::{run_chaos, ChaosOptions, ChaosReport};
-pub use load::{run_load, LoadOptions, LoadReport, RouteStats};
 pub use server::{ServeHandle, ServeOptions, ServeSummary, Server};
 pub use signal::{clear_interrupt, install_interrupt_handler, interrupted};

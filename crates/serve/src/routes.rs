@@ -21,6 +21,7 @@ use std::time::Instant;
 use mrp_batch::{
     parse_json, parse_specs, run_batch_on, BatchOptions, JsonValue, SynthCache, ThreadPool,
 };
+use mrp_obs::json;
 use mrp_resilience::{synthesize_under, Deadline};
 use mrp_store::PersistentStore;
 
@@ -78,8 +79,10 @@ pub(crate) fn route(request: &Request, ctx: &RouteContext<'_>) -> (u16, String) 
 fn health_body(ctx: &RouteContext<'_>) -> String {
     let (status, store) = store_health(ctx);
     format!(
-        "{{\"status\":\"{status}\",\"store\":\"{store}\",\"inflight\":{},\"queue\":{},\
+        "{{\"status\":{},\"store\":{},\"inflight\":{},\"queue\":{},\
          \"served\":{},\"rejected\":{}}}\n",
+        json::string(status),
+        json::string(store),
         ctx.state.inflight.load(Ordering::SeqCst),
         ctx.state.queue,
         ctx.state.served.load(Ordering::SeqCst),
@@ -96,13 +99,14 @@ fn metrics_body(ctx: &RouteContext<'_>) -> String {
     // `/metricsz` and `/statusz` always agree.
     format!(
         "{{\"server\":{{\"inflight\":{},\"queue\":{},\"served\":{},\"rejected\":{},\
-         \"coalesced\":{},\"store\":\"{store}\",\"latency_ms\":{},\
+         \"coalesced\":{},\"store\":{},\"latency_ms\":{},\
          \"cache\":{{\"entries\":{},\"hits\":{},\"misses\":{}}}}},\"metrics\":{}}}\n",
         ctx.state.inflight.load(Ordering::SeqCst),
         ctx.state.queue,
         ctx.state.served.load(Ordering::SeqCst),
         ctx.state.rejected.load(Ordering::SeqCst),
         ctx.state.coalesced.load(Ordering::SeqCst),
+        json::string(store),
         ctx.state.telemetry.latency_json(),
         cache.entries,
         cache.hits,

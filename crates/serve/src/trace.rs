@@ -20,7 +20,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::sync::Mutex;
 use std::time::Duration;
 
-use mrp_obs::{Histogram, Quantiles};
+use mrp_obs::{json, Histogram, Quantiles};
 
 /// How many completed requests `/statusz` remembers.
 pub(crate) const RECENT_CAP: usize = 64;
@@ -28,15 +28,6 @@ pub(crate) const RECENT_CAP: usize = 64;
 /// A `Duration` as fractional milliseconds.
 pub(crate) fn ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1000.0
-}
-
-/// An `f64` as JSON (no NaN/Infinity literals in JSON).
-pub(crate) fn jnum(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
 }
 
 /// Per-phase timings of one request, in milliseconds. A phase that did
@@ -130,22 +121,22 @@ impl RequestRecord {
     fn render_json(&self) -> String {
         let p = &self.phases;
         format!(
-            "{{\"id\":{},\"method\":\"{}\",\"path\":\"{}\",\"status\":{},\
+            "{{\"id\":{},\"method\":{},\"path\":{},\"status\":{},\
              \"coalesced\":{},\"total_ms\":{},\"phases\":{{\
              \"admission_ms\":{},\"read_ms\":{},\"queue_ms\":{},\
              \"synth_ms\":{},\"coalesce_ms\":{},\"write_ms\":{}}}}}",
             self.id,
-            crate::http::json_escape(&self.method),
-            crate::http::json_escape(&self.path),
+            json::string(&self.method),
+            json::string(&self.path),
             self.status,
             self.coalesced,
-            jnum(self.total_ms),
-            jnum(p.admission_ms),
-            jnum(p.read_ms),
-            jnum(p.queue_ms),
-            jnum(p.synth_ms),
-            jnum(p.coalesce_ms),
-            jnum(p.write_ms),
+            json::number(self.total_ms),
+            json::number(p.admission_ms),
+            json::number(p.read_ms),
+            json::number(p.queue_ms),
+            json::number(p.synth_ms),
+            json::number(p.coalesce_ms),
+            json::number(p.write_ms),
         )
     }
 }
@@ -233,7 +224,13 @@ impl Telemetry {
         let routes = lock(&self.routes);
         let entries: Vec<String> = routes
             .iter()
-            .map(|(name, h)| format!("\"{name}\":{}", quantile_entry(h.count(), h.quantiles())))
+            .map(|(name, h)| {
+                format!(
+                    "{}:{}",
+                    json::string(name),
+                    quantile_entry(h.count(), h.quantiles())
+                )
+            })
             .collect();
         drop(routes);
         out.push_str(&entries.join(","));
@@ -241,7 +238,13 @@ impl Telemetry {
         let phases = lock(&self.phases);
         let entries: Vec<String> = phases
             .iter()
-            .map(|(name, h)| format!("\"{name}\":{}", quantile_entry(h.count(), h.quantiles())))
+            .map(|(name, h)| {
+                format!(
+                    "{}:{}",
+                    json::string(name),
+                    quantile_entry(h.count(), h.quantiles())
+                )
+            })
             .collect();
         drop(phases);
         out.push_str(&entries.join(","));
@@ -261,10 +264,10 @@ impl Telemetry {
 fn quantile_entry(count: u64, q: Quantiles) -> String {
     format!(
         "{{\"count\":{count},\"p50\":{},\"p90\":{},\"p99\":{},\"p999\":{}}}",
-        jnum(q.p50),
-        jnum(q.p90),
-        jnum(q.p99),
-        jnum(q.p999)
+        json::number(q.p50),
+        json::number(q.p90),
+        json::number(q.p99),
+        json::number(q.p999)
     )
 }
 

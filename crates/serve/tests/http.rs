@@ -8,6 +8,7 @@
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::{Arc, Barrier};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -214,6 +215,52 @@ fn every_response_carries_a_sequential_request_id() {
 
     let summary = server.stop(&handle);
     assert!(summary.served >= 3, "{summary:?}");
+}
+
+#[test]
+fn concurrent_synth_and_batch_requests_get_distinct_request_ids() {
+    const CLIENTS: usize = 4;
+    const PER_CLIENT: usize = 3;
+    let (addr, handle, server) = spawn_server(2, 16);
+
+    // Every client alternates /synth and /batch; all start together so
+    // requests of both routes are in flight at once.
+    let start = Arc::new(Barrier::new(CLIENTS));
+    let clients: Vec<_> = (0..CLIENTS)
+        .map(|c| {
+            let start = Arc::clone(&start);
+            thread::spawn(move || {
+                start.wait();
+                (0..PER_CLIENT)
+                    .map(|k| {
+                        let (status, head, body) = if (c + k) % 2 == 0 {
+                            let odd = 2 * (c * PER_CLIENT + k) + 9;
+                            post(
+                                addr,
+                                "/synth",
+                                &format!("{{\"coeffs\": [70, 66, 17, {odd}]}}"),
+                            )
+                        } else {
+                            post(addr, "/batch", SPECS)
+                        };
+                        assert_eq!(status, 200, "{body}");
+                        request_id(&head).unwrap_or_else(|| panic!("no X-Request-Id: {head}"))
+                    })
+                    .collect::<Vec<u64>>()
+            })
+        })
+        .collect();
+    let mut ids: Vec<u64> = clients
+        .into_iter()
+        .flat_map(|client| client.join().expect("client thread panicked"))
+        .collect();
+    ids.sort_unstable();
+    let total = (CLIENTS * PER_CLIENT) as u64;
+    assert_eq!(ids, (1..=total).collect::<Vec<u64>>(), "IDs not distinct");
+
+    let summary = server.stop(&handle);
+    assert_eq!(summary.served, total, "{summary:?}");
+    assert_eq!(summary.rejected, 0, "{summary:?}");
 }
 
 #[test]

@@ -5,6 +5,7 @@
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Barrier};
 use std::thread;
 use std::time::Duration;
 
@@ -64,10 +65,15 @@ fn get(addr: SocketAddr, path: &str) -> (u16, String) {
     exchange(addr, &format!("GET {path} HTTP/1.1\r\nHost: t\r\n\r\n"))
 }
 
+/// Filters in one [`wide_specs`] document.
+const WIDE_FILTERS: usize = 24;
+
 /// A spec document big enough that a /batch request takes real work,
 /// giving concurrent identical requests a wide window to coalesce in.
-fn wide_specs() -> String {
-    let filters: Vec<String> = (0..24)
+/// Each `round` gives [`WIDE_FILTERS`] specs no other round shares, even
+/// after normalization: every first coefficient is odd.
+fn wide_specs(round: usize) -> String {
+    let filters: Vec<String> = (round * WIDE_FILTERS..(round + 1) * WIDE_FILTERS)
         .map(|i| {
             format!(
                 "{{\"name\": \"f{i}\", \"coeffs\": [{}, {}, {}, {}, {}]}}",
@@ -90,34 +96,58 @@ fn identical_concurrent_posts_coalesce_to_identical_bytes() {
         queue: 16,
         ..ServeOptions::default()
     });
-    let specs = wide_specs();
+    const CLIENTS: usize = 4;
+    const MAX_ROUNDS: usize = 8;
 
     // Fire identical /batch requests from parallel clients. The first
     // to claim leads; the rest ride its synthesis. Responses must be
-    // byte-identical either way.
-    let clients: Vec<_> = (0..4)
-        .map(|_| {
-            let specs = specs.clone();
-            thread::spawn(move || post(addr, "/batch", &specs))
-        })
-        .collect();
-    let mut bodies = Vec::new();
-    for client in clients {
-        let (status, body) = client.join().unwrap();
-        assert_eq!(status, 200, "{body}");
-        bodies.push(body);
+    // byte-identical either way. A leader that finishes before any other
+    // client connects leaves nothing to coalesce, so the burst repeats on
+    // fresh specs (each round's leader must synthesize, not read the
+    // cache) until a round coalesces.
+    let mut rounds = 0;
+    while rounds < MAX_ROUNDS && handle.coalesced() == 0 {
+        let specs = wide_specs(rounds);
+        let start = Arc::new(Barrier::new(CLIENTS));
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|_| {
+                let (specs, start) = (specs.clone(), Arc::clone(&start));
+                thread::spawn(move || {
+                    start.wait();
+                    post(addr, "/batch", &specs)
+                })
+            })
+            .collect();
+        let mut bodies = Vec::new();
+        for client in clients {
+            let (status, body) = client.join().unwrap();
+            assert_eq!(status, 200, "{body}");
+            bodies.push(body);
+        }
+        bodies.dedup();
+        assert_eq!(
+            bodies.len(),
+            1,
+            "round {rounds}: concurrent identical requests diverged"
+        );
+        rounds += 1;
     }
-    bodies.dedup();
-    assert_eq!(bodies.len(), 1, "concurrent identical requests diverged");
 
     let summary = server.stop(&handle);
     assert!(
         summary.coalesced >= 1,
-        "no coalescing across 4 identical concurrent requests: {summary:?}"
+        "no coalescing in {rounds} rounds of {CLIENTS} identical concurrent requests: \
+         {summary:?}"
     );
-    // Coalesced requests must not have re-entered the cache layer: the
-    // leader's misses are the only misses.
-    assert_eq!(summary.served, 4, "{summary:?}");
+    assert_eq!(summary.served, (CLIENTS * rounds) as u64, "{summary:?}");
+    // Each distinct spec is synthesized exactly once, whatever the
+    // interleaving: followers never reach the cache, and a request that
+    // arrives after its leader finished finds every spec cached.
+    assert_eq!(
+        summary.cache_misses,
+        (WIDE_FILTERS * rounds) as u64,
+        "{summary:?}"
+    );
 }
 
 #[test]
@@ -130,7 +160,7 @@ fn persistent_store_survives_restart_with_identical_bytes() {
         store_dir: Some(dir.clone()),
         ..ServeOptions::default()
     };
-    let specs = wide_specs();
+    let specs = wide_specs(0);
 
     let (addr, handle, server) = spawn_server(options());
     let (status, first) = post(addr, "/batch", &specs);
