@@ -35,8 +35,9 @@ impl Args {
     ///
     /// # Errors
     ///
-    /// Returns [`ParseArgsError`] when no subcommand is present, or when
-    /// an option is last or followed by another `--` token.
+    /// Returns [`ParseArgsError`] when no subcommand is present (a
+    /// leading `--help` counts as one), or when an option is last or
+    /// followed by another `--` token.
     ///
     /// # Examples
     ///
@@ -58,7 +59,8 @@ impl Args {
         let command = tokens
             .next()
             .ok_or_else(|| ParseArgsError("missing subcommand".into()))?;
-        if command.starts_with("--") {
+        // `--help` is the one option that stands in for a subcommand.
+        if command.starts_with("--") && command != "--help" {
             return Err(ParseArgsError(format!(
                 "expected a subcommand, found option {command}"
             )));

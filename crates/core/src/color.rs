@@ -6,8 +6,15 @@
 //! normalized to their positive odd part (the *primary color*); all edges of
 //! one color class are realized by a single shared computation `k · x`
 //! plus free shifts, which is what makes cover-based sharing pay off.
+//!
+//! The cover needs only each class's cost and the vertices it reaches, so
+//! the graph keeps those — one M-bit mask per class — and no edges. The few
+//! classes a cover selects get their edges back from
+//! [`ColorGraph::cover_edges`], which repeats the enumeration.
 
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
+use std::hash::{BuildHasher, Hasher};
 
 use mrp_numrep::{nonzero_digits, odd_part, Repr};
 
@@ -40,8 +47,119 @@ impl SidEdge {
     }
 }
 
+/// Multiply-shift hashing of color keys (Dietzfelbinger et al.): the high
+/// half of `key · a` for a random odd `a` drawn per map. One multiply, where
+/// SipHash would take most of a build's time; the keys derive from the
+/// caller's coefficients, and the random multiplier keeps keys that collide
+/// from being chosen in advance. No map is iterated, so the hash never
+/// reaches an output.
+#[derive(Debug, Clone, Copy)]
+struct ColorHash(u64);
+
+impl ColorHash {
+    fn new() -> Self {
+        ColorHash(RandomState::new().hash_one(0u64) | 1)
+    }
+}
+
+impl BuildHasher for ColorHash {
+    type Hasher = ColorHasher;
+
+    fn build_hasher(&self) -> ColorHasher {
+        ColorHasher {
+            multiplier: self.0,
+            hash: 0,
+        }
+    }
+}
+
+struct ColorHasher {
+    multiplier: u64,
+    hash: u64,
+}
+
+impl Hasher for ColorHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.hash = (self.hash ^ v).wrapping_mul(self.multiplier);
+    }
+
+    fn write_i64(&mut self, v: i64) {
+        self.write_u64(v as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        // The table indexes by the low bits: give it the high half.
+        self.hash.rotate_left(32)
+    }
+}
+
+type ColorMap<V> = HashMap<i64, V, ColorHash>;
+
+/// Visits every SID edge among `primaries` with shifts up to `max_shift`
+/// whose covered vertex passes `head`, in `(i, j, L, sign)` order.
+///
+/// # Panics
+///
+/// Panics if a shifted primary overflows `i64`.
+fn for_each_edge(
+    primaries: &[i64],
+    max_shift: u32,
+    head: impl Fn(usize) -> bool,
+    mut visit: impl FnMut(SidEdge),
+) {
+    if primaries.len() < 2 {
+        return;
+    }
+    for (i, &ci) in primaries.iter().enumerate() {
+        let shifted: Vec<i64> = (0..=max_shift)
+            .map(|l| {
+                let shifted = ci.checked_shl(l).expect("primary shift overflows");
+                assert!(
+                    (shifted >> l) == ci,
+                    "primary shift overflows i64 (value {ci}, shift {l})"
+                );
+                shifted
+            })
+            .collect();
+        for (j, &cj) in primaries.iter().enumerate() {
+            if i == j || !head(j) {
+                continue;
+            }
+            for (l, &shifted) in (0..).zip(&shifted) {
+                for base_negate in [false, true] {
+                    let base = if base_negate { -shifted } else { shifted };
+                    let xi = cj - base;
+                    if xi == 0 {
+                        continue;
+                    }
+                    let p = odd_part(xi);
+                    visit(SidEdge {
+                        from: i,
+                        to: j,
+                        base_shift: l,
+                        base_negate,
+                        color: p.odd,
+                        color_shift: p.shift,
+                        color_negate: p.negative,
+                    });
+                }
+            }
+        }
+    }
+}
+
 /// The color-class view of the multigraph: every distinct primary color,
-/// its cost, and the edges (hence vertices) it can cover.
+/// its cost, and the set of vertices its edges can cover.
+///
+/// A class keeps no edges, only its coverage set as a bitmask of
+/// ⌈M/64⌉ words; [`ColorGraph::cover_edges`] regenerates the edges of the
+/// classes a cover selects.
 ///
 /// # Examples
 ///
@@ -55,21 +173,23 @@ impl SidEdge {
 /// let c3 = graph.color_index(3).unwrap();
 /// let c5 = graph.color_index(5).unwrap();
 /// let mut covered: Vec<bool> = vec![false; 8];
-/// for &ci in &[c3, c5] {
-///     for e in graph.edges_of(ci) {
-///         covered[e.to] = true;
-///     }
+/// for e in graph.cover_edges(&[c3, c5]) {
+///     covered[e.to] = true;
 /// }
 /// assert!(covered.iter().all(|&c| c));
 /// # Ok::<(), mrp_core::MrpError>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct ColorGraph {
+    primaries: Vec<i64>,
+    max_shift: u32,
     colors: Vec<i64>,
     costs: Vec<u32>,
-    edges: Vec<Vec<SidEdge>>,
-    index: HashMap<i64, usize>,
-    vertex_count: usize,
+    /// Coverage masks, `words` per class: bit `v` of class `ci` is set
+    /// when some edge of `ci` covers vertex `v`.
+    masks: Vec<u64>,
+    words: usize,
+    index: ColorMap<usize>,
 }
 
 impl ColorGraph {
@@ -82,59 +202,44 @@ impl ColorGraph {
     /// Panics if a shifted value overflows `i64` (prevented upstream by
     /// [`crate::CoeffSet`]'s magnitude cap when `max_shift ≤ 26`).
     pub fn build(primaries: &[i64], max_shift: u32, repr: Repr) -> Self {
-        let mut index: HashMap<i64, usize> = HashMap::new();
-        let mut colors: Vec<i64> = Vec::new();
-        let mut costs: Vec<u32> = Vec::new();
-        let mut edges: Vec<Vec<SidEdge>> = Vec::new();
-        for (i, &ci) in primaries.iter().enumerate() {
-            for (j, &cj) in primaries.iter().enumerate() {
-                if i == j {
-                    continue;
-                }
-                for l in 0..=max_shift {
-                    let shifted = ci.checked_shl(l).expect("primary shift overflows");
-                    assert!(
-                        (shifted >> l) == ci,
-                        "primary shift overflows i64 (value {ci}, shift {l})"
-                    );
-                    for base_negate in [false, true] {
-                        let base = if base_negate { -shifted } else { shifted };
-                        let xi = cj - base;
-                        if xi == 0 {
-                            continue;
-                        }
-                        let p = odd_part(xi);
-                        let slot = *index.entry(p.odd).or_insert_with(|| {
-                            colors.push(p.odd);
-                            costs.push(nonzero_digits(p.odd, repr));
-                            edges.push(Vec::new());
-                            colors.len() - 1
-                        });
-                        edges[slot].push(SidEdge {
-                            from: i,
-                            to: j,
-                            base_shift: l,
-                            base_negate,
-                            color: p.odd,
-                            color_shift: p.shift,
-                            color_negate: p.negative,
-                        });
-                    }
-                }
-            }
-        }
+        let m = primaries.len();
+        let words = m.div_ceil(64);
+        // Classes number at most the §3.1 edge bound 2(W+1)·M(M−1), and
+        // most edges start a class of their own: sizing for the bound once
+        // spares the table its moves while growing.
+        let bound = 2 * (max_shift as usize + 1) * m * m.saturating_sub(1);
+        let mut index = ColorMap::with_capacity_and_hasher(bound, ColorHash::new());
+        let mut colors: Vec<i64> = Vec::with_capacity(bound);
+        let mut costs: Vec<u32> = Vec::with_capacity(bound);
+        let mut masks: Vec<u64> = Vec::with_capacity(bound * words);
+        for_each_edge(
+            primaries,
+            max_shift,
+            |_| true,
+            |e| {
+                let slot = *index.entry(e.color).or_insert_with(|| {
+                    colors.push(e.color);
+                    costs.push(nonzero_digits(e.color, repr));
+                    masks.resize(masks.len() + words, 0);
+                    colors.len() - 1
+                });
+                masks[slot * words + e.to / 64] |= 1 << (e.to % 64);
+            },
+        );
         ColorGraph {
+            primaries: primaries.to_vec(),
+            max_shift,
             colors,
             costs,
-            edges,
+            masks,
+            words,
             index,
-            vertex_count: primaries.len(),
         }
     }
 
     /// Number of vertices the graph was built over.
     pub fn vertex_count(&self) -> usize {
-        self.vertex_count
+        self.primaries.len()
     }
 
     /// Number of distinct color classes.
@@ -152,22 +257,52 @@ impl ColorGraph {
         self.costs[ci]
     }
 
-    /// Edges belonging to color class `ci`.
-    pub fn edges_of(&self, ci: usize) -> &[SidEdge] {
-        &self.edges[ci]
-    }
-
     /// Class index of a primary color value.
     pub fn color_index(&self, color: i64) -> Option<usize> {
         self.index.get(&color).copied()
     }
 
+    /// Coverage mask of class `ci`: ⌈M/64⌉ words, bit `v` set when the
+    /// class can cover vertex `v`.
+    pub(crate) fn mask(&self, ci: usize) -> &[u64] {
+        &self.masks[ci * self.words..(ci + 1) * self.words]
+    }
+
     /// The set of vertices class `ci` can cover (deduplicated, sorted).
     pub fn color_set(&self, ci: usize) -> Vec<usize> {
-        let mut v: Vec<usize> = self.edges[ci].iter().map(|e| e.to).collect();
-        v.sort_unstable();
-        v.dedup();
-        v
+        (0..self.vertex_count())
+            .filter(|&v| self.mask(ci)[v / 64] >> (v % 64) & 1 == 1)
+            .collect()
+    }
+
+    /// Regenerates the SID edges of `classes` (distinct class indices):
+    /// class by class in the given order, each class's edges in the
+    /// `(i, j, L, sign)` order of [`ColorGraph::build`]'s enumeration.
+    ///
+    /// Only vertices some listed class covers are visited as edge heads,
+    /// so the cost is that of enumerating the edges into those vertices.
+    pub fn cover_edges(&self, classes: &[usize]) -> Vec<SidEdge> {
+        let mut slot_of: ColorMap<usize> = ColorMap::with_hasher(ColorHash::new());
+        let mut heads = vec![0u64; self.words];
+        for (k, &ci) in classes.iter().enumerate() {
+            let fresh = slot_of.insert(self.colors[ci], k).is_none();
+            debug_assert!(fresh, "class {ci} listed twice");
+            for (h, m) in heads.iter_mut().zip(self.mask(ci)) {
+                *h |= m;
+            }
+        }
+        let mut per_class: Vec<Vec<SidEdge>> = vec![Vec::new(); classes.len()];
+        for_each_edge(
+            &self.primaries,
+            self.max_shift,
+            |j| heads[j / 64] >> (j % 64) & 1 == 1,
+            |e| {
+                if let Some(&k) = slot_of.get(&e.color) {
+                    per_class[k].push(e);
+                }
+            },
+        );
+        per_class.concat()
     }
 }
 
@@ -184,13 +319,16 @@ mod tests {
         (primaries, g)
     }
 
+    /// Every edge of the graph, regenerated class by class.
+    fn all_edges(g: &ColorGraph) -> Vec<SidEdge> {
+        g.cover_edges(&(0..g.color_count()).collect::<Vec<_>>())
+    }
+
     #[test]
     fn all_edges_are_consistent() {
         let (primaries, g) = paper_graph();
-        for ci in 0..g.color_count() {
-            for e in g.edges_of(ci) {
-                assert!(e.is_consistent(&primaries), "bad edge {e:?}");
-            }
+        for e in all_edges(&g) {
+            assert!(e.is_consistent(&primaries), "bad edge {e:?}");
         }
     }
 
@@ -199,9 +337,25 @@ mod tests {
         // At most 2(W+1)·M(M−1) edges (paper §3.1).
         let (primaries, g) = paper_graph();
         let m = primaries.len();
-        let total: usize = (0..g.color_count()).map(|ci| g.edges_of(ci).len()).sum();
+        let total = all_edges(&g).len();
         assert!(total <= 2 * 9 * m * (m - 1));
         assert!(total > 0);
+    }
+
+    #[test]
+    fn masks_match_regenerated_edges() {
+        // 70 primaries: masks span two words.
+        let primaries: Vec<i64> = (0..70).map(|k| 2 * k + 1).collect();
+        let g = ColorGraph::build(&primaries, 4, Repr::Spt);
+        for ci in 0..g.color_count() {
+            let edges = g.cover_edges(&[ci]);
+            assert!(edges.iter().all(|e| e.color == g.colors()[ci]));
+            let mut heads: Vec<usize> = edges.iter().map(|e| e.to).collect();
+            heads.dedup();
+            heads.sort_unstable();
+            heads.dedup();
+            assert_eq!(g.color_set(ci), heads, "class of color {}", g.colors()[ci]);
+        }
     }
 
     #[test]

@@ -10,6 +10,18 @@
 //! where `frequency` is the number of still-uncovered vertices the class
 //! can reach and `cost` is the nonzero-digit count of the primary color.
 //! Frequencies are recomputed after every selection (Step 5c).
+//!
+//! A class's frequency is `popcount(mask & !covered)` over its coverage
+//! mask. Covering more vertices can only lower a frequency, and `f` rises
+//! with frequency, so a benefit computed earlier bounds the current one
+//! from above. The selection is therefore a lazy greedy: classes sit on a
+//! max-heap under their last computed benefit, and the top is recomputed
+//! when popped — if its benefit held, nothing below can beat it, so it
+//! wins; otherwise it goes back under the lower value. Each round picks
+//! the same class as a full rescan would, ties included.
+
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 use crate::color::ColorGraph;
 
@@ -64,49 +76,71 @@ pub fn select_colors(graph: &ColorGraph, primaries: &[i64], beta: f64) -> CoverS
         "primaries/graph mismatch"
     );
     let n = graph.vertex_count();
-    let mut covered = vec![false; n];
+    let mut covered = vec![0u64; n.div_ceil(64)];
     let mut remaining = n;
-    // Precompute color sets once; frequencies are recomputed per round
-    // against the covered mask.
-    let color_sets: Vec<Vec<usize>> = (0..graph.color_count())
-        .map(|ci| graph.color_set(ci))
-        .collect();
+    let frequency = |ci: usize, covered: &[u64]| -> u32 {
+        graph
+            .mask(ci)
+            .iter()
+            .zip(covered)
+            .map(|(m, c)| (m & !c).count_ones())
+            .sum()
+    };
+    let benefit = |ci: usize, freq: u32| -> f64 {
+        beta * f64::from(freq) - (1.0 - beta) * f64::from(graph.cost(ci))
+    };
+    // Most classes reach a single vertex. Such a class can only win while
+    // its vertex is uncovered, and then every class on that vertex has
+    // frequency at least 1 — so a single-vertex class ranking below another
+    // on the same vertex at frequency 1 never wins, and only the best of
+    // each vertex's single-vertex classes goes on the heap.
+    let mut candidates: Vec<Candidate> = Vec::new();
+    let mut best_single: Vec<Option<Candidate>> = vec![None; n];
+    for ci in 0..graph.color_count() {
+        let freq = frequency(ci, &covered);
+        let candidate = Candidate {
+            benefit: benefit(ci, freq),
+            color: graph.colors()[ci],
+            class: ci,
+        };
+        if freq > 1 {
+            candidates.push(candidate);
+            continue;
+        }
+        let (word, bits) = (0..)
+            .zip(graph.mask(ci))
+            .find(|&(_, &bits)| bits != 0)
+            .expect("a class covers some vertex");
+        let best = &mut best_single[word * 64 + bits.trailing_zeros() as usize];
+        if best.is_none_or(|b| candidate > b) {
+            *best = Some(candidate);
+        }
+    }
+    candidates.extend(best_single.into_iter().flatten());
+    let mut heap = BinaryHeap::from(candidates);
     let mut selected_classes: Vec<usize> = Vec::new();
     let mut selected_colors: Vec<i64> = Vec::new();
-    let mut used = vec![false; graph.color_count()];
-    while remaining > 0 && selected_classes.len() < graph.color_count() {
-        let mut best: Option<(usize, f64)> = None;
-        for ci in 0..graph.color_count() {
-            if used[ci] {
-                continue;
-            }
-            let freq = color_sets[ci].iter().filter(|&&v| !covered[v]).count();
-            if freq == 0 {
-                continue;
-            }
-            let f = beta * freq as f64 - (1.0 - beta) * graph.cost(ci) as f64;
-            let better = match best {
-                None => true,
-                Some((bci, bf)) => f > bf || (f == bf && graph.colors()[ci] < graph.colors()[bci]),
-            };
-            if better {
-                best = Some((ci, f));
-            }
+    while remaining > 0 {
+        let Some(top) = heap.pop() else { break };
+        let freq = frequency(top.class, &covered);
+        if freq == 0 {
+            continue;
         }
-        let Some((ci, f)) = best else { break };
+        let f = benefit(top.class, freq);
+        if f < top.benefit {
+            heap.push(Candidate { benefit: f, ..top });
+            continue;
+        }
         // One greedy round = one selected class; the winning benefit `f`
         // (Eq. 1) is the quantity the search literature tabulates.
         mrp_obs::counter_add("core.wmsc.iterations", 1);
         mrp_obs::histogram_record("core.wmsc.benefit_f", f);
-        used[ci] = true;
-        selected_classes.push(ci);
-        selected_colors.push(graph.colors()[ci]);
-        for &v in &color_sets[ci] {
-            if !covered[v] {
-                covered[v] = true;
-                remaining -= 1;
-            }
+        selected_classes.push(top.class);
+        selected_colors.push(top.color);
+        for (c, m) in covered.iter_mut().zip(graph.mask(top.class)) {
+            *c |= m;
         }
+        remaining -= freq as usize;
     }
     // Step 6: vertices whose value equals a selected color (primaries are
     // odd, colors are odd, so equality is exact).
@@ -119,6 +153,38 @@ pub fn select_colors(graph: &ColorGraph, primaries: &[i64], beta: f64) -> CoverS
         free_vertices,
     }
 }
+
+/// A class on the lazy greedy's heap under its last computed benefit.
+#[derive(Debug, Clone, Copy)]
+struct Candidate {
+    benefit: f64,
+    color: i64,
+    class: usize,
+}
+
+impl Ord for Candidate {
+    /// Larger benefit first; of equal benefits, the smaller color. Colors
+    /// are distinct, so no two candidates compare equal.
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.benefit
+            .total_cmp(&other.benefit)
+            .then_with(|| other.color.cmp(&self.color))
+    }
+}
+
+impl PartialOrd for Candidate {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Candidate {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Candidate {}
 
 #[cfg(test)]
 mod tests {

@@ -8,7 +8,7 @@ use mrp_cse::hartley_cse;
 use mrp_numrep::{nonzero_digits, Repr};
 
 use crate::coeff::CoeffSet;
-use crate::color::{ColorGraph, SidEdge};
+use crate::color::ColorGraph;
 use crate::cover::select_colors;
 use crate::error::MrpError;
 use crate::tree::build_forest;
@@ -251,16 +251,16 @@ fn realize_vector(
         let max = values.iter().copied().max().unwrap_or(1);
         (64 - (max as u64).leading_zeros() + 1).clamp(4, 26)
     });
-    let color_graph = {
+    let (cover, cover_edges) = {
+        let color_graph = {
+            let _span = mrp_obs::span("core.graph");
+            ColorGraph::build(values, max_shift, config.repr)
+        };
+        let cover = select_colors(&color_graph, values, config.beta);
         let _span = mrp_obs::span("core.graph");
-        ColorGraph::build(values, max_shift, config.repr)
+        let cover_edges = color_graph.cover_edges(&cover.class_indices);
+        (cover, cover_edges)
     };
-    let cover = select_colors(&color_graph, values, config.beta);
-    let cover_edges: Vec<SidEdge> = cover
-        .class_indices
-        .iter()
-        .flat_map(|&ci| color_graph.edges_of(ci).to_vec())
-        .collect();
     let max_depth = config.max_depth.unwrap_or(u32::MAX);
     let forest = build_forest(values.len(), &cover_edges, &cover, max_depth, |v| {
         nonzero_digits(values[v], config.repr)
@@ -293,22 +293,24 @@ fn realize_vector(
     // directly, or via CSE when CSE is the configured SEED compressor.
     // MRPI is a transformation to apply when profitable (§4), so compare
     // analytic costs and fall back to the flat realization when it wins.
-    let seed_cost_estimate = match config.seed_optimizer {
-        SeedOptimizer::Cse => hartley_cse(&seed_values).adders(),
-        _ => graph_cost(&seed_values, config.repr),
+    // Each CSE result prices its vector and then builds it.
+    let cse_of = |v: &[i64]| (config.seed_optimizer == SeedOptimizer::Cse).then(|| hartley_cse(v));
+    let seed_cse = cse_of(&seed_values);
+    let flat_cse = cse_of(values);
+    let seed_cost_estimate = match &seed_cse {
+        Some(cse) => cse.adders(),
+        None => graph_cost(&seed_values, config.repr),
     };
     let mrp_estimate = seed_cost_estimate + forest.edges.len();
-    let flat_estimate = match config.seed_optimizer {
-        SeedOptimizer::Cse => hartley_cse(values).adders(),
-        _ => graph_cost(values, config.repr),
+    let flat_estimate = match &flat_cse {
+        Some(cse) => cse.adders(),
+        None => graph_cost(values, config.repr),
     };
     if flat_estimate <= mrp_estimate {
         let before = graph.adder_count();
-        let terms = match config.seed_optimizer {
-            SeedOptimizer::Cse => hartley_cse(values)
-                .build_into(graph)
-                .map_err(MrpError::from)?,
-            _ => realize_direct(graph, values, config)?,
+        let terms = match &flat_cse {
+            Some(cse) => cse.build_into(graph).map_err(MrpError::from)?,
+            None => realize_direct(graph, values, config)?,
         };
         return Ok(BuiltVector {
             terms,
@@ -328,12 +330,9 @@ fn realize_vector(
     // Realize the SEED multiplication network.
     let before_seed = graph.adder_count();
     let seed_span = mrp_obs::span("core.realize.seed");
-    let seed_terms: Vec<Term> = match (config.seed_optimizer, recursion) {
-        (SeedOptimizer::Cse, _) => {
-            let cse = hartley_cse(&seed_values);
-            cse.build_into(graph).map_err(MrpError::from)?
-        }
-        (SeedOptimizer::Recursive { .. }, r) if r > 0 => {
+    let seed_terms: Vec<Term> = match (&seed_cse, config.seed_optimizer, recursion) {
+        (Some(cse), _, _) => cse.build_into(graph).map_err(MrpError::from)?,
+        (None, SeedOptimizer::Recursive { .. }, r) if r > 0 => {
             let inner = realize_vector(graph, &seed_values, config, r - 1)?;
             inner.terms
         }

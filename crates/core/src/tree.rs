@@ -72,11 +72,7 @@ impl Forest {
 /// let set = CoeffSet::new(&[70, 66, 17, 9, 27, 41, 56, 11])?;
 /// let graph = ColorGraph::build(set.primaries(), 8, Repr::Spt);
 /// let cover = select_colors(&graph, set.primaries(), 0.5);
-/// let edges: Vec<_> = cover
-///     .class_indices
-///     .iter()
-///     .flat_map(|&ci| graph.edges_of(ci).to_vec())
-///     .collect();
+/// let edges = graph.cover_edges(&cover.class_indices);
 /// let forest = build_forest(8, &edges, &cover, u32::MAX, |v| {
 ///     mrp_numrep::nonzero_digits(set.primaries()[v], Repr::Spt)
 /// });
@@ -233,11 +229,7 @@ mod tests {
         let primaries = set.primaries().to_vec();
         let graph = ColorGraph::build(&primaries, 8, Repr::Spt);
         let cover = select_colors(&graph, &primaries, 0.5);
-        let edges: Vec<SidEdge> = cover
-            .class_indices
-            .iter()
-            .flat_map(|&ci| graph.edges_of(ci).to_vec())
-            .collect();
+        let edges = graph.cover_edges(&cover.class_indices);
         let f = build_forest(primaries.len(), &edges, &cover, max_depth, |v| {
             mrp_numrep::nonzero_digits(primaries[v], Repr::Spt)
         });

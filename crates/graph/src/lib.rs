@@ -1,10 +1,10 @@
 //! Small-graph algorithm toolkit used by the MRP optimization.
 //!
-//! The MRPF paper maps filter synthesis onto three classic graph problems:
+//! The MRPF paper maps filter synthesis onto three classic graph problems.
+//! The weighted minimum set cover that selects edge *colors* is solved in
+//! `mrp-core` (`select_colors`), over its own coverage masks; this crate
+//! holds the other two:
 //!
-//! * **weighted minimum set cover** — selecting the cheapest set of edge
-//!   *colors* whose edges visit every coefficient vertex
-//!   ([`greedy_set_cover`]);
 //! * **all-pairs shortest paths** — choosing spanning-tree roots that
 //!   minimize tree height, i.e. filter delay ([`floyd_warshall`],
 //!   [`DistanceMatrix::eccentricity`]);
@@ -36,12 +36,10 @@ mod apsp;
 mod bfs;
 mod components;
 mod mst;
-mod setcover;
 mod unionfind;
 
 pub use apsp::{floyd_warshall, DistanceMatrix};
 pub use bfs::{bfs_layers, BfsLayers};
 pub use components::weakly_connected_components;
 pub use mst::{kruskal, prim, Edge};
-pub use setcover::{greedy_set_cover, CoverSet, SetCoverSolution};
 pub use unionfind::UnionFind;

@@ -1,8 +1,7 @@
 //! Property-based tests for the graph toolkit (deterministic harness).
 
 use mrp_graph::{
-    bfs_layers, floyd_warshall, greedy_set_cover, kruskal, prim, weakly_connected_components,
-    CoverSet, Edge, UnionFind,
+    bfs_layers, floyd_warshall, kruskal, prim, weakly_connected_components, Edge, UnionFind,
 };
 use mrp_ptest::{run_cases, Rng};
 
@@ -149,37 +148,5 @@ fn bfs_depths_are_shortest_hops() {
                 "BFS depth disagrees with APSP for vertex {v}"
             );
         }
-    });
-}
-
-#[test]
-fn set_cover_covers_when_feasible() {
-    run_cases("set_cover_covers_when_feasible", 256, |rng| {
-        let universe = rng.usize_in(1, 12);
-        let raw = rng.usize_in(1, 10);
-        let mut sets: Vec<CoverSet> = (0..raw)
-            .map(|_| {
-                let k = rng.usize_in(1, 6);
-                let els: Vec<usize> = (0..k)
-                    .map(|_| rng.usize_in(0, 12))
-                    .filter(|&e| e < universe)
-                    .collect();
-                CoverSet::new(els, rng.f64_in(0.0, 10.0))
-            })
-            .collect();
-        // Guarantee feasibility with singletons.
-        for e in 0..universe {
-            sets.push(CoverSet::new(vec![e], 9.5));
-        }
-        let sol = greedy_set_cover(universe, &sets);
-        assert!(sol.is_complete());
-        // Chosen sets really cover the universe.
-        let mut covered = vec![false; universe];
-        for &i in &sol.chosen {
-            for &e in &sets[i].elements {
-                covered[e] = true;
-            }
-        }
-        assert!(covered.into_iter().all(|c| c));
     });
 }

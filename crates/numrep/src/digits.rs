@@ -330,7 +330,7 @@ pub fn csd(v: i64) -> DigitVec {
 /// assert_eq!(msd_weight(255), 2); // 256 - 1
 /// ```
 pub fn msd_weight(v: i64) -> u32 {
-    csd(v).nonzero_count()
+    crate::nonzero_digits(v, crate::Repr::Csd)
 }
 
 #[cfg(test)]

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use crate::digits::{binary_digits, csd};
-
 /// The number representation used to count the nonzero digits of a
 /// coefficient, which in turn determines the adder cost of multiplying by it.
 ///
@@ -76,10 +74,28 @@ impl fmt::Display for Repr {
 /// assert_eq!(nonzero_digits(0, Repr::Spt), 0);
 /// assert_eq!(nonzero_digits(-96, Repr::Spt), 2); // -(64 + 32)
 /// ```
+///
+/// Counted without building a digit vector: the binary weight of `m = |v|`
+/// is `popcount(m)`, and its CSD weight is `popcount(m ^ 3m)` — a CSD digit
+/// is nonzero exactly where `m` and `3m = m + 2m` differ one place up.
+/// Equal to [`binary_digits`](crate::binary_digits)`(v).nonzero_count()` and
+/// [`csd`](crate::csd)`(v).nonzero_count()`.
+///
+/// # Panics
+///
+/// Panics for [`Repr::Csd`] / [`Repr::Spt`] if `|v| > 2^62`, as
+/// [`csd`](crate::csd) does.
 pub fn nonzero_digits(v: i64, repr: Repr) -> u32 {
+    let m = v.unsigned_abs();
     match repr {
-        Repr::TwosComplement | Repr::SignMagnitude => binary_digits(v).nonzero_count(),
-        Repr::Csd | Repr::Spt => csd(v).nonzero_count(),
+        Repr::TwosComplement | Repr::SignMagnitude => m.count_ones(),
+        Repr::Csd | Repr::Spt => {
+            assert!(
+                m <= 1 << 62,
+                "|v| must be at most 2^62 for an i64-round-trippable CSD recoding"
+            );
+            (m ^ (3 * m)).count_ones()
+        }
     }
 }
 

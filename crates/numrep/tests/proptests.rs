@@ -146,3 +146,66 @@ fn quantize_error_shrinks_with_wordlength() {
         assert!(e16 <= e8 + 1e-12);
     });
 }
+
+/// The closed-form weights against the digit vectors they replace.
+fn assert_weights_match(v: i64) {
+    let csd_weight = csd(v).nonzero_count();
+    let binary_weight = binary_digits(v).nonzero_count();
+    assert_eq!(
+        nonzero_digits(v, Repr::Csd),
+        csd_weight,
+        "CSD weight of {v}"
+    );
+    assert_eq!(
+        nonzero_digits(v, Repr::Spt),
+        csd_weight,
+        "SPT weight of {v}"
+    );
+    assert_eq!(
+        nonzero_digits(v, Repr::SignMagnitude),
+        binary_weight,
+        "SM weight of {v}"
+    );
+    assert_eq!(
+        nonzero_digits(v, Repr::TwosComplement),
+        binary_weight,
+        "binary weight of {v}"
+    );
+}
+
+#[test]
+fn closed_form_weights_match_digit_vectors_below_2_16() {
+    for v in -(1i64 << 16) + 1..1 << 16 {
+        assert_weights_match(v);
+    }
+}
+
+#[test]
+fn closed_form_weights_match_digit_vectors_up_to_2_62() {
+    const B62: i64 = 1 << 62;
+    for v in [B62, -B62, B62 - 1, -B62 + 1, (B62 >> 1) * 3 / 2] {
+        assert_weights_match(v);
+    }
+    run_cases("closed_form_weights_up_to_2_62", 4096, |rng| {
+        // A uniform draw, then one with its magnitude cut to a random
+        // width so short values get as many cases as long ones.
+        let v = rng.i64_in(-B62, B62 + 1);
+        assert_weights_match(v);
+        assert_weights_match(v >> rng.u32_in(0, 62));
+    });
+}
+
+#[test]
+fn closed_form_csd_weight_rejects_magnitudes_above_2_62() {
+    for v in [(1i64 << 62) + 1, -(1i64 << 62) - 1, i64::MAX, i64::MIN] {
+        for repr in [Repr::Csd, Repr::Spt] {
+            let panicked = std::panic::catch_unwind(|| nonzero_digits(v, repr)).is_err();
+            assert!(panicked, "{repr} weight of {v} must panic like csd({v})");
+        }
+        // Binary weights have no such limit.
+        assert_eq!(
+            nonzero_digits(v, Repr::SignMagnitude),
+            v.unsigned_abs().count_ones()
+        );
+    }
+}
