@@ -22,11 +22,12 @@
 //!   [`DerivedValues`]: pure, total graph walks (malformed operand
 //!   references are treated as absent, never panicked on — the lint
 //!   passes that consume these report them instead).
-//! * **Transforms** — [`PipelinedNetlist`] plus [`pipeline_by_depth`],
-//!   [`retime`], and [`pipeline_and_retime`]: stage assignment,
+//! * **Transforms** — [`pipeline_by_depth`], [`retime`], and
+//!   [`pipeline_and_retime`]: stage assignment and register retiming.
+//!   They return an [`mrp_arch::PipelinedNetlist`], which carries the
 //!   register bookkeeping, cycle-accurate stepping, and the
 //!   latency-adjusted equivalence gate
-//!   ([`PipelinedNetlist::verify_outputs_latency_adjusted`]).
+//!   ([`mrp_arch::PipelinedNetlist::verify_outputs_latency_adjusted`]).
 //!
 //! # Examples
 //!
@@ -58,7 +59,6 @@
 mod analyses;
 mod manager;
 mod passes;
-mod pipeline;
 mod transform;
 pub mod width;
 
@@ -68,5 +68,4 @@ pub use analyses::{
 };
 pub use manager::{Analysis, AnalysisContext, Analyzer, PreservedAnalyses};
 pub use passes::{Pass, PassManager};
-pub use pipeline::PipelinedNetlist;
 pub use transform::{pipeline_and_retime, pipeline_by_depth, retime, TransformDelta};

@@ -191,11 +191,6 @@ impl<'g> Analyzer<'g> {
         self.cache.borrow_mut().retain(|id, _| preserved.keeps(id));
         result
     }
-
-    /// Drops every cached analysis without touching the graph.
-    pub fn invalidate_all(&mut self) {
-        self.cache.borrow_mut().clear();
-    }
 }
 
 #[cfg(test)]

@@ -6,9 +6,10 @@
 //! resulting [`PipelinedNetlist`]. Both are deterministic: node order and
 //! candidate order are fixed, and ties never move a register.
 
+use mrp_arch::PipelinedNetlist;
+
 use crate::analyses::Depth;
 use crate::manager::Analyzer;
-use crate::pipeline::PipelinedNetlist;
 
 /// Before/after summary a transform reports alongside its result.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -14,7 +14,11 @@
 //!   multiplication per coefficient);
 //! * [`FirFilter`] — the full transposed-direct-form filter around a
 //!   multiplier block, evaluated bit-exactly against direct convolution;
-//! * [`emit_verilog`] — synthesizable structural Verilog emission.
+//! * [`PipelinedNetlist`] — an adder graph with a pipeline stage per node
+//!   and explicit registers, stepped cycle by cycle and checked against
+//!   the latency-shifted coefficients;
+//! * [`emit_verilog_pipelined`] — synthesizable structural Verilog for a
+//!   pipelined netlist, with [`emit_verilog`] as its combinational case.
 //!
 //! # Examples
 //!
@@ -38,17 +42,15 @@ mod dot;
 mod eval;
 mod filter_structure;
 mod netlist;
-mod pipeline;
+mod pipelined;
 mod verilog;
-mod verilog_pipelined;
 
 pub use dot::{to_dot, to_dot_labeled};
 pub use eval::evaluate_all;
 pub use filter_structure::{direct_fir, FirFilter};
 pub use netlist::{AdderGraph, ArchError, Node, NodeId, Output, Term};
-pub use pipeline::{best_balanced_cut, best_cut, cut_profile, cut_registers};
-pub use verilog::emit_verilog;
-pub use verilog_pipelined::emit_verilog_pipelined;
+pub use pipelined::PipelinedNetlist;
+pub use verilog::{emit_verilog, emit_verilog_pipelined};
 
 /// Builds a multiplier block that computes every requested constant with the
 /// per-coefficient digit-recoding baseline (the paper's "simple"

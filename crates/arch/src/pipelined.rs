@@ -1,21 +1,20 @@
 //! Pipelined netlists: an adder graph plus a stage assignment.
 //!
-//! [`mrp_arch`]'s cut analysis scores *where* a boundary is cheap; this
-//! module carries the result of actually placing boundaries: every node
-//! is assigned a pipeline stage, and every signal that crosses a stage
-//! boundary owns a register per boundary crossed. The structure is
-//! cycle-accurate — [`PipelinedNetlist::step`] evaluates one clock edge,
-//! and [`PipelinedNetlist::verify_outputs_latency_adjusted`] replays the
-//! combinational verification samples against a latency-shifted
-//! reference, which is the equivalence gate retiming and pipelining
-//! transforms must pass.
+//! Every node is assigned a pipeline stage, and every signal that crosses
+//! a stage boundary owns a register per boundary crossed. The structure
+//! is cycle-accurate — [`PipelinedNetlist::step`] evaluates one clock
+//! edge, and [`PipelinedNetlist::verify_outputs_latency_adjusted`]
+//! replays the combinational verification samples against a
+//! latency-shifted reference, which is the equivalence gate retiming and
+//! pipelining transforms must pass. [`crate::emit_verilog_pipelined`]
+//! writes the same netlist as clocked RTL.
 //!
 //! Register bookkeeping is deliberately explicit (and mutable): a
 //! *missing* register wires the signal through combinationally, exactly
 //! like the hardware bug it models, so a mis-registered netlist fails the
 //! latency-adjusted equivalence check instead of being unrepresentable.
 
-use mrp_arch::{AdderGraph, Node, Term};
+use crate::netlist::{AdderGraph, Node, Term};
 
 /// An adder graph with a pipeline stage per node and explicit registers.
 ///
@@ -248,7 +247,7 @@ impl PipelinedNetlist {
     /// pipe fills). Returns the first failing `(label, x)`, or `None`.
     ///
     /// This is the pipelined counterpart of
-    /// [`mrp_arch::AdderGraph::verify_outputs`] and the gate every
+    /// [`AdderGraph::verify_outputs`] and the gate every
     /// pipelining/retiming transform must pass before acceptance.
     pub fn verify_outputs_latency_adjusted(&self, samples: &[i64]) -> Option<(String, i64)> {
         let l = self.latency as usize;
@@ -273,7 +272,7 @@ impl PipelinedNetlist {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mrp_arch::Term;
+    use crate::netlist::NodeId;
 
     /// x -> a(7x, d1) -> b(29x, d2) -> c(117x, d3); outputs on a and c.
     fn chain() -> AdderGraph {
@@ -355,5 +354,72 @@ mod tests {
         // a is stage 0 → boundary 1) and 2 (output sampling).
         assert_eq!(net.registered[1], vec![1, 2]);
         assert_eq!(net.verify_outputs_latency_adjusted(&[1, 2, 3, -5]), None);
+    }
+
+    /// The two-stage netlist with one boundary after adder depth `cut`:
+    /// a single pipeline cut is the special case of a stage assignment.
+    fn single_cut(graph: AdderGraph, cut: u32) -> PipelinedNetlist {
+        let stages = (0..graph.len())
+            .map(|i| u32::from(graph.depth(NodeId::from_index(i)) > cut))
+            .collect();
+        PipelinedNetlist::new(graph, stages)
+    }
+
+    #[test]
+    fn chain_cut_counts() {
+        // Cut after depth 1: `a` (into b and "c0") and `x` (into b, c).
+        assert_eq!(single_cut(chain(), 1).register_count(), 2);
+        // Cut after depth 2: `b` and `x` feed c; "c0" carries `a` across.
+        assert_eq!(single_cut(chain(), 2).register_count(), 3);
+        // A cut at or past the deepest adder leaves one stage.
+        assert_eq!(single_cut(chain(), 3).latency, 0);
+        assert_eq!(single_cut(chain(), 3).register_count(), 0);
+    }
+
+    #[test]
+    fn output_at_shallow_depth_crosses() {
+        // Cutting mid-graph must carry the shallow output's signal across.
+        let mut g = AdderGraph::new();
+        let x = g.input();
+        let a = g.add(Term::shifted(x, 1), Term::of(x)).unwrap(); // depth 1
+        let b = g.add(Term::shifted(a, 2), Term::of(a)).unwrap(); // depth 2
+        g.push_output("shallow", Term::of(a), g.value(a));
+        g.push_output("deep", Term::of(b), g.value(b));
+        let net = single_cut(g, 1);
+        // `a` crosses once, however many consumers it has beyond the cut.
+        assert_eq!(net.registered, vec![vec![], vec![1], vec![]]);
+        assert_eq!(net.verify_outputs_latency_adjusted(&[-3, 0, 1, 7]), None);
+    }
+
+    #[test]
+    fn fanout_shares_registers() {
+        // One node feeding three consumers beyond the cut costs 1 register.
+        let mut g = AdderGraph::new();
+        let x = g.input();
+        let a = g.add(Term::shifted(x, 1), Term::of(x)).unwrap();
+        for k in 0..3 {
+            let n = g.add(Term::shifted(a, k + 1), Term::of(a)).unwrap();
+            g.push_output(format!("o{k}"), Term::of(n), g.value(n));
+        }
+        // Only `a` crosses (x feeds nothing deeper).
+        assert_eq!(single_cut(g, 1).register_count(), 1);
+    }
+
+    #[test]
+    fn wide_simple_block_has_wide_cuts() {
+        let constants: Vec<i64> = (0..12).map(|k| 2 * k * k + 4 * k + 3).collect();
+        let (mut g, outs) =
+            crate::simple_multiplier_block(&constants, mrp_numrep::Repr::Csd).unwrap();
+        for (i, (&t, &c)) in outs.iter().zip(&constants).enumerate() {
+            g.push_output(format!("c{i}"), t, c);
+        }
+        let max = g.max_depth();
+        assert!(max >= 2);
+        // Independent chains: every chain crosses any full cut.
+        for cut in 1..max {
+            let net = single_cut(g.clone(), cut);
+            assert!(net.register_count() >= 2, "cut {cut}");
+            assert_eq!(net.verify_outputs_latency_adjusted(&[-5, 1, 9]), None);
+        }
     }
 }

@@ -11,12 +11,32 @@
 //! 4. **β (Eq. 1, §3.3)** — adders and sharing (fanout) vs the benefit
 //!    weight.
 
-use mrp_arch::best_balanced_cut;
+use mrp_arch::{AdderGraph, NodeId, PipelinedNetlist};
 use mrp_bench::{print_header, quantized_example};
 use mrp_core::{MrpConfig, MrpOptimizer};
 use mrp_cse::hartley_cse;
 use mrp_filters::example_filters;
 use mrp_numrep::Scaling;
+
+/// The cheapest balanced single cut `(depth, registers)`: one pipeline
+/// boundary after adder depth `d`, with neither stage more than
+/// `ceil(D / 2)` adders deep, costed as the registers of that two-stage
+/// netlist (ties go to the shallower cut). `None` when the graph is too
+/// shallow to split.
+fn balanced_cut(graph: &AdderGraph) -> Option<(u32, usize)> {
+    let max = graph.max_depth();
+    let half = max.div_ceil(2);
+    (1..max)
+        .filter(|&d| d <= half && max - d <= half)
+        .map(|d| {
+            let stages = (0..graph.len())
+                .map(|i| u32::from(graph.depth(NodeId::from_index(i)) > d))
+                .collect();
+            let net = PipelinedNetlist::new(graph.clone(), stages);
+            (d, net.register_count())
+        })
+        .min_by_key(|&(d, regs)| (regs, d))
+}
 
 fn main() {
     let suite = example_filters();
@@ -48,7 +68,7 @@ fn main() {
         cse_graph.push_output(format!("c{i}"), t, c);
     }
     for (name, graph) in [("MRPF", &mrp.graph), ("CSE", &cse_graph)] {
-        match best_balanced_cut(graph) {
+        match balanced_cut(graph) {
             Some((depth, regs)) => println!(
                 "{name:<6} depth {:>2}, balanced cut at {depth}: {regs} registers ({} adders)",
                 graph.max_depth(),

@@ -4,9 +4,9 @@ use std::fmt;
 
 use mrp_analysis::{
     pipeline_and_retime, AnalysisContext, Analyzer, ConeOfInfluence, CriticalPath, Depth,
-    Dominators, Fanout, PipelinedNetlist, TransformDelta, WidthMap,
+    Dominators, Fanout, TransformDelta, WidthMap,
 };
-use mrp_arch::{emit_verilog, to_dot_labeled, NodeId};
+use mrp_arch::{emit_verilog, to_dot_labeled, NodeId, PipelinedNetlist};
 use mrp_batch::{parse_specs, run_batch, BatchOptions};
 use mrp_core::{adder_report, MrpConfig, MrpOptimizer, SeedOptimizer};
 use mrp_filters::{butterworth_fir, least_squares, remez, FilterSpec};
@@ -370,6 +370,15 @@ fn optimize(args: &Args) -> Result<String, CliError> {
 }
 
 fn emit(args: &Args) -> Result<String, CliError> {
+    let name = args.get_str("name", "mrpf_block");
+    let mut chars = name.chars();
+    let identifier = chars
+        .next()
+        .is_some_and(|c| c.is_ascii_alphabetic() || c == '_')
+        && chars.all(|c| c.is_ascii_alphanumeric() || c == '_');
+    if !identifier {
+        bail!("--name must be a Verilog identifier ([A-Za-z_][A-Za-z0-9_]*), got `{name}`");
+    }
     let coeffs = parse_coeffs(args)?;
     let cfg = parse_config(args)?;
     let result = MrpOptimizer::new(cfg)
@@ -379,7 +388,6 @@ fn emit(args: &Args) -> Result<String, CliError> {
     if width == 0 || width > 48 {
         bail!("--width must be within 1..=48");
     }
-    let name = args.get_str("name", "mrpf_block");
     Ok(emit_verilog(&result.graph, &name, width))
 }
 

@@ -1,5 +1,7 @@
 //! `mrpf` — command-line front end for the MRPF reproduction.
 
+use std::io::{ErrorKind, Write};
+
 use mrp_cli::args::Args;
 use mrp_cli::{run, FLAGS};
 
@@ -13,7 +15,18 @@ fn main() {
         }
     };
     match run(&parsed) {
-        Ok(out) => println!("{out}"),
+        Ok(out) => {
+            // A reader that closed the pipe early (`mrpf … | head`) has
+            // all it wanted; any other write failure is an error.
+            let mut stdout = std::io::stdout().lock();
+            match writeln!(stdout, "{out}").and_then(|()| stdout.flush()) {
+                Err(e) if e.kind() != ErrorKind::BrokenPipe => {
+                    eprintln!("error: writing the result: {e}");
+                    std::process::exit(1);
+                }
+                _ => {}
+            }
+        }
         Err(e) => {
             eprintln!("error: {e}");
             std::process::exit(1);

@@ -37,13 +37,6 @@ pub struct CoverSolution {
     pub free_vertices: Vec<usize>,
 }
 
-impl CoverSolution {
-    /// Whether vertex `v` was marked free by Step 6.
-    pub fn is_free(&self, v: usize) -> bool {
-        self.free_vertices.contains(&v)
-    }
-}
-
 /// Runs the greedy WMSC selection over `graph` with benefit parameter
 /// `beta` (0.5 ⇒ interconnect-neutral, per §3.3).
 ///

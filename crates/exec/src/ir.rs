@@ -9,7 +9,7 @@
 //! convention that wiring is free ([`mrp_arch::Term`]).
 //!
 //! Arithmetic is wrapping on `i64`, matching
-//! [`mrp_analysis::PipelinedNetlist::step`]; callers that need overflow
+//! [`mrp_arch::PipelinedNetlist::step`]; callers that need overflow
 //! detection compare against an exact tree-walk oracle, so a wrap reads
 //! as a mismatch rather than a false pass.
 
@@ -140,7 +140,7 @@ pub struct Program {
     /// Output map, in netlist output order.
     pub outputs: Vec<ProgramOutput>,
     /// Cycles before the first meaningful output (0 for combinational
-    /// programs; the pipeline depth for lowered [`mrp_analysis::PipelinedNetlist`]s).
+    /// programs; the pipeline depth for lowered [`mrp_arch::PipelinedNetlist`]s).
     pub latency: u32,
 }
 

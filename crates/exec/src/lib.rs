@@ -15,9 +15,9 @@
 //! * [`compile_block`] — the multiplier block alone (tap products).
 //! * [`compile_fir`] — the full transposed-direct-form filter
 //!   (matches [`mrp_arch::FirFilter::filter`]).
-//! * [`compile_pipelined`] — a [`mrp_analysis::PipelinedNetlist`] with
+//! * [`compile_pipelined`] — a [`mrp_arch::PipelinedNetlist`] with
 //!   its exact register placement (matches
-//!   [`mrp_analysis::PipelinedNetlist::step`], wrapping arithmetic,
+//!   [`mrp_arch::PipelinedNetlist::step`], wrapping arithmetic,
 //!   wire-through timing skew and all).
 //!
 //! The tree-walk evaluators stay in service as the *differential

@@ -18,8 +18,7 @@
 //! adders and real registers.
 
 use crate::ir::{Inst, Operand, Program, ProgramOutput, VReg};
-use mrp_analysis::PipelinedNetlist;
-use mrp_arch::{AdderGraph, FirFilter, Node, Term};
+use mrp_arch::{AdderGraph, FirFilter, Node, PipelinedNetlist, Term};
 
 /// A symbolic value during lowering: the constant zero (placeholder taps,
 /// unwritten pipeline positions) or a register with free shift/negate.

@@ -1,6 +1,6 @@
 //! Compiled-path equivalence checks — the drop-in counterparts of the
 //! tree-walk gates [`mrp_arch::AdderGraph::verify_outputs`] and
-//! [`mrp_analysis::PipelinedNetlist::verify_outputs_latency_adjusted`].
+//! [`mrp_arch::PipelinedNetlist::verify_outputs_latency_adjusted`].
 //!
 //! These run the *compiled* program and compare against the exact
 //! constant-multiple reference in `i128`, so a wrap in the interpreter
@@ -10,8 +10,7 @@
 //! re-simulation uses at scale.
 
 use crate::{compile_block, compile_pipelined, Machine};
-use mrp_analysis::PipelinedNetlist;
-use mrp_arch::AdderGraph;
+use mrp_arch::{AdderGraph, PipelinedNetlist};
 
 /// Checks every nonzero output of the compiled multiplier block equals
 /// `expected · x` for each sample. Returns the first failing

@@ -7,10 +7,17 @@
 //! path; `mrp_vsim` re-simulates the *emitted RTL text* as a third,
 //! independent leg. Any divergence on seeded random filter specs fails.
 //!
+//! The pipelined legs agree cycle by cycle: `PipelinedNetlist::step`,
+//! the `compile_pipelined` machine, and `mrp_vsim` stepping the RTL that
+//! `emit_verilog_pipelined` writes for the same netlist.
+//!
 //! The CI `sim-differential` job runs this suite in release with
 //! `MRP_EXEC_FUZZ_CASES` raised; locally the defaults keep it quick.
 
-use mrp_arch::{direct_fir, emit_verilog, simple_multiplier_block, AdderGraph, FirFilter};
+use mrp_arch::{
+    direct_fir, emit_verilog, emit_verilog_pipelined, simple_multiplier_block, AdderGraph,
+    FirFilter,
+};
 use mrp_exec::{
     compile_block, compile_fir, compile_pipelined, verify_block_compiled,
     verify_pipelined_compiled, Machine,
@@ -50,7 +57,7 @@ fn block_with_outputs(coeffs: &[i64], repr: Repr) -> AdderGraph {
 fn compiled_fir_matches_tree_walk_and_direct_form() {
     run_cases("compiled_fir_vs_tree_walk", cases(48), |rng| {
         let coeffs = random_coeffs(rng);
-        let repr = if rng.i64_in(0, 1) == 0 {
+        let repr = if rng.i64_in(0, 2) == 0 {
             Repr::Csd
         } else {
             Repr::Spt
@@ -66,6 +73,14 @@ fn compiled_fir_matches_tree_walk_and_direct_form() {
             "coeffs {coeffs:?} lanes {lanes}"
         );
         assert_eq!(got, direct_fir(&coeffs, &input), "coeffs {coeffs:?}");
+        // Streamed in blocks, the tap delays carry across `run` calls.
+        let block = rng.usize_in(1, 50);
+        machine.reset();
+        let streamed: Vec<i64> = input
+            .chunks(block)
+            .flat_map(|b| machine.run_single(b))
+            .collect();
+        assert_eq!(streamed, got, "coeffs {coeffs:?} blocks of {block}");
     });
 }
 
@@ -154,34 +169,53 @@ fn compiled_pipelined_matches_step_and_settled_rtl() {
     });
 }
 
+/// `v` as a `bits`-wide two's-complement port reads it.
+fn wrap(v: i64, bits: u32) -> i64 {
+    let s = 64 - bits;
+    (v << s) >> s
+}
+
 #[test]
-fn pipelined_rtl_settle_agrees_with_compiled_steady_state() {
-    run_cases("settled_rtl_vs_compiled", cases(12), |rng| {
+fn pipelined_netlist_machine_and_rtl_agree_cycle_by_cycle() {
+    run_cases("pipelined_three_way", cases(32), |rng| {
         let coeffs = random_coeffs(rng);
         let graph = block_with_outputs(&coeffs, Repr::Csd);
-        if graph.max_depth() < 2 {
-            // A single-level adder network has no legal cut position
-            // (`emit_verilog_pipelined` needs `1..max_depth`).
-            return;
-        }
-        let rtl = mrp_arch::emit_verilog_pipelined(&graph, "mbp", 40, 1);
-        let module = Module::parse(&rtl).expect("pipelined rtl parses");
-        let x = rng.i64_in(-1024, 1024);
-        let settled = module
-            .settle(x, module.regs.len() as u32 + 2)
-            .expect("rtl settles");
         let az = mrp_analysis::Analyzer::new(&graph, mrp_analysis::AnalysisContext::default());
-        let (net, _) = mrp_analysis::pipeline_and_retime(&az, 1);
-        let mut machine = Machine::new(compile_pipelined(&net));
-        let steady_in = vec![x; net.latency as usize + 4];
-        let steady = machine.run(&steady_in);
-        for (k, (o, outs)) in graph.outputs().iter().zip(&steady).enumerate() {
-            if o.expected != 0 {
+        let stage_depth = rng.i64_in(1, i64::from(graph.max_depth().max(1)) + 1) as u32;
+        let (mut net, _) = mrp_analysis::pipeline_and_retime(&az, stage_depth);
+        // One case in four drops a register: every leg must model the
+        // same wire-through.
+        let owned: Vec<(usize, u32)> = net
+            .registered
+            .iter()
+            .enumerate()
+            .flat_map(|(i, regs)| regs.iter().map(move |&b| (i, b)))
+            .collect();
+        let dropped = (rng.i64_in(0, 4) == 0 && !owned.is_empty())
+            .then(|| owned[rng.usize_in(0, owned.len())]);
+        if let Some((node, boundary)) = dropped {
+            assert!(net.drop_register(node, boundary));
+        }
+        let case = format!("coeffs {coeffs:?} stage depth {stage_depth} dropped {dropped:?}");
+
+        let width = 12;
+        let rtl = emit_verilog_pipelined(&net, "mbp", width);
+        let module = Module::parse(&rtl).expect("pipelined rtl parses");
+        assert_eq!(module.regs.len(), net.register_count(), "{case}");
+
+        let samples = rng.vec_i64(1, 64, -(1 << (width - 1)), 1 << (width - 1));
+        let compiled = Machine::with_lanes(compile_pipelined(&net), 8).run(&samples);
+        let mut state = net.new_state();
+        let mut regs = module.new_state();
+        for (t, &x) in samples.iter().enumerate() {
+            let want = net.step(&mut state, x);
+            let got = module.step(&mut regs, x).expect("rtl steps");
+            for (k, (&w, port)) in want.iter().zip(&module.outputs).enumerate() {
+                assert_eq!(compiled[k][t], w, "{case}: machine output {k} cycle {t}");
                 assert_eq!(
-                    *outs.last().expect("nonempty"),
-                    settled[k],
-                    "coeffs {coeffs:?} output {}",
-                    o.label
+                    got[k],
+                    wrap(w, port.width),
+                    "{case}: rtl output {k} cycle {t}\n{rtl}"
                 );
             }
         }

@@ -2,9 +2,9 @@
 //!
 //! Designs are verified by sampling the zero-phase amplitude response of
 //! linear-phase filters (symmetric taps) and measuring passband ripple and
-//! stopband attenuation against the [`crate::FilterSpec`] targets.
+//! stopband attenuation over the bands of a [`crate::FilterSpec`].
 
-use crate::spec::{BandSpec, FilterSpec};
+use crate::spec::BandSpec;
 
 /// Complex frequency response `H(e^{j2πf})` of arbitrary taps at normalized
 /// frequency `f`, returned as `(re, im)`.
@@ -119,17 +119,6 @@ pub fn measure_ripple(taps: &[f64], bands: &[BandSpec], grid_points: usize) -> R
         passband_ripple_db,
         stopband_atten_db,
     }
-}
-
-/// Checks a design against its spec with a tolerance factor: the measured
-/// deviations may exceed the spec's ripple budgets by `slack` (e.g. `1.5`
-/// allows 50 % over budget, useful for the fixed orders of Table 1).
-pub fn meets_spec(taps: &[f64], spec: &FilterSpec, slack: f64) -> bool {
-    let bands = spec.to_bands();
-    let rep = measure_ripple(taps, &bands, 512);
-    let dp = (10f64.powf(spec.rp_db / 20.0) - 1.0) / (10f64.powf(spec.rp_db / 20.0) + 1.0);
-    let ds = 10f64.powf(-spec.rs_db / 20.0);
-    rep.passband_deviation <= dp * slack && rep.stopband_deviation <= ds * slack
 }
 
 #[cfg(test)]

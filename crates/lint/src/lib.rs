@@ -11,14 +11,15 @@
 //!   non-topological order, redundant adders (free shifts burned as
 //!   hardware), exact duplicate adders (missed CSE), fanout;
 //! * **width** (`MRP01x`) — bit-width inference through shifts and adds,
-//!   checked against the widths the emitted Verilog declares;
+//!   checked against the widths the emitted Verilog declares for its
+//!   wires and pipeline registers;
 //! * **equivalence** (`MRP02x`) — symbolic re-derivation of every constant
 //!   from the adder structure, verified against the tracked values, the
 //!   registered output coefficients, and a simulation of the RTL;
 //! * **depth** (`MRP03x`) — recomputed critical path, checked against the
 //!   graph's depth cache and the optimizer's reported depth;
 //! * **pipeline** (`MRP04x`) — stage-assignment legality and register
-//!   coverage of a [`mrp_analysis::PipelinedNetlist`], plus an optional
+//!   coverage of a [`mrp_arch::PipelinedNetlist`], plus an optional
 //!   width-growth bound (`MRP042`) on the plain graph lint.
 //!
 //! Every check is a [`mrp_analysis::Pass`] over a shared
@@ -58,8 +59,8 @@ pub mod width;
 pub use depth::recompute_depths;
 pub use diag::{Diagnostic, LintCode, LintReport, LintStats, Severity};
 
-use mrp_analysis::{AnalysisContext, Analyzer, PassManager, PipelinedNetlist};
-use mrp_arch::AdderGraph;
+use mrp_analysis::{AnalysisContext, Analyzer, PassManager};
+use mrp_arch::{AdderGraph, PipelinedNetlist};
 
 /// Lint configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -154,11 +155,13 @@ fn lint_graph_passes(az: &Analyzer<'_>, config: &LintConfig) -> LintReport {
 }
 
 /// Lints emitted Verilog against the netlist it was generated from:
-/// parseability, structural shape, declared wire/port widths versus the
-/// inferred requirements, and a width-exact simulation of the products.
+/// parseability, structural shape, declared wire, register and port
+/// widths versus the inferred requirements, and a width-exact simulation
+/// of the products.
 ///
-/// Covers both the combinational ([`mrp_arch::emit_verilog`]) and the
-/// pipelined ([`mrp_arch::emit_verilog_pipelined`]) emitters.
+/// Reads the names the `mrp-arch` writer gives its signals, so it covers
+/// [`mrp_arch::emit_verilog`] and every latency of
+/// [`mrp_arch::emit_verilog_pipelined`].
 ///
 /// # Panics
 ///
@@ -172,32 +175,10 @@ pub fn lint_verilog(graph: &AdderGraph, source: &str, config: &LintConfig) -> Li
             input_width: config.input_width,
         },
     );
-    lint_verilog_passes(&az, source, config)
-}
-
-/// [`lint_verilog`] through a caller-owned [`Analyzer`] (see
-/// [`lint_graph_with`] for the sharing contract).
-///
-/// # Panics
-///
-/// Panics if `config.input_width` is outside `1..=63` or disagrees with
-/// the analyzer's context.
-pub fn lint_verilog_with(az: &Analyzer<'_>, source: &str, config: &LintConfig) -> LintReport {
-    let _span = mrp_obs::span("lint.verilog");
-    assert_width(config);
-    assert_eq!(
-        az.ctx().input_width,
-        config.input_width,
-        "analyzer context width disagrees with the lint config"
-    );
-    lint_verilog_passes(az, source, config)
-}
-
-fn lint_verilog_passes(az: &Analyzer<'_>, source: &str, config: &LintConfig) -> LintReport {
     let mut report = LintReport::default();
     let mut pm = PassManager::new();
     pm.add(rtl::RtlPass { source });
-    pm.run(az, config, &mut report);
+    pm.run(&az, config, &mut report);
     report
 }
 

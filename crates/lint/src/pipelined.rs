@@ -13,8 +13,7 @@
 //!   the latency-adjusted equivalence check catches dynamically; the lint
 //!   catches it statically.
 
-use mrp_analysis::PipelinedNetlist;
-use mrp_arch::{Node, NodeId};
+use mrp_arch::{Node, NodeId, PipelinedNetlist};
 
 use crate::diag::{Diagnostic, LintCode, LintReport};
 use crate::LintConfig;

@@ -2,9 +2,10 @@
 //! Verilog against the netlist the Verilog was generated from.
 //!
 //! The emitted module follows the `mrp-arch` naming convention: input `x`
-//! extended into `x_ext`, one `n{i}` wire per adder node `i`, `_q`
-//! registers in the pipelined variant, one output port per registered graph
-//! output in declaration order.
+//! extended into `x_ext`, one `n{i}` wire per adder node `i`, registers
+//! `n{i}_q{b}` / `x_ext_q{b}` carrying node `i` / the input across pipeline
+//! boundary `b`, one output port per registered graph output in
+//! declaration order.
 
 use std::collections::HashMap;
 
@@ -77,9 +78,6 @@ pub(crate) fn run(graph: &AdderGraph, source: &str, config: &LintConfig, report:
     for (name, w, _) in &module.wires {
         declared.insert(name.as_str(), *w);
     }
-    for r in &module.regs {
-        declared.insert(r.name.as_str(), r.width);
-    }
 
     for (i, node) in graph.nodes().iter().enumerate() {
         if !matches!(node, Node::Add { .. }) {
@@ -113,23 +111,26 @@ pub(crate) fn run(graph: &AdderGraph, source: &str, config: &LintConfig, report:
             }
             Some(_) => {}
         }
-        // A pipelined register carrying this node needs the same width.
-        let qname = format!("n{i}_q");
-        if let Some(&w) = declared.get(qname.as_str()) {
-            if w < required[i] {
-                report.push(
-                    Diagnostic::new(
-                        LintCode::WidthTruncation,
-                        format!(
-                            "register is {w} bit(s) but {}·x needs {} at input width {width}",
-                            graph.value(NodeId::from_index(i)),
-                            required[i]
-                        ),
-                    )
-                    .at_node(i)
-                    .at_signal(qname),
-                );
-            }
+    }
+    // A pipeline register needs the width of the node it carries.
+    for reg in &module.regs {
+        let Some(i) = register_node(&reg.name).filter(|&i| i < graph.len()) else {
+            continue;
+        };
+        if reg.width < required[i] {
+            report.push(
+                Diagnostic::new(
+                    LintCode::WidthTruncation,
+                    format!(
+                        "register is {} bit(s) but {}·x needs {} at input width {width}",
+                        reg.width,
+                        graph.value(NodeId::from_index(i)),
+                        required[i]
+                    ),
+                )
+                .at_node(i)
+                .at_signal(reg.name.clone()),
+            );
         }
     }
 
@@ -223,10 +224,21 @@ pub(crate) fn run(graph: &AdderGraph, source: &str, config: &LintConfig, report:
     }
 }
 
+/// The node a writer register carries: `n{i}_q{b}` carries node `i`,
+/// `x_ext_q{b}` the input (node 0).
+fn register_node(name: &str) -> Option<usize> {
+    let (base, boundary) = name.rsplit_once("_q")?;
+    boundary.parse::<u32>().ok()?;
+    match base {
+        "x_ext" => Some(0),
+        _ => base.strip_prefix('n')?.parse().ok(),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mrp_arch::{emit_verilog, emit_verilog_pipelined, Term};
+    use mrp_arch::{emit_verilog, emit_verilog_pipelined, PipelinedNetlist, Term};
 
     fn example() -> AdderGraph {
         let mut g = AdderGraph::new();
@@ -256,12 +268,33 @@ mod tests {
         assert!(r.is_clean(), "{}", r.render_pretty());
     }
 
+    /// `example()` cut after depth 1: `x_ext_q1` and `n1_q1` cross.
+    fn pipelined_example() -> String {
+        let net = PipelinedNetlist::new(example(), vec![0, 0, 1]);
+        emit_verilog_pipelined(&net, "pipe", 12)
+    }
+
     #[test]
     fn pipelined_verilog_is_clean() {
-        let g = example();
-        let v = emit_verilog_pipelined(&g, "pipe", 12, 1);
-        let r = lint(&g, &v, 12);
+        let v = pipelined_example();
+        let r = lint(&example(), &v, 12);
         assert!(r.is_clean(), "{}", r.render_pretty());
+    }
+
+    #[test]
+    fn narrowed_registers_are_flagged() {
+        // At input width 12, 7·x needs 15 bits and x itself 12.
+        for (reg, node) in [("n1_q1", 1), ("x_ext_q1", 0)] {
+            let decl = format!("reg signed [17:0] {reg};");
+            let v = pipelined_example();
+            assert!(v.contains(&decl), "{v}");
+            let v = v.replace(&decl, &format!("reg signed [8:0] {reg};"));
+            let r = lint(&example(), &v, 12);
+            let trunc = r.with_code(LintCode::WidthTruncation);
+            assert_eq!(trunc.len(), 1, "{reg}: {}", r.render_pretty());
+            assert_eq!(trunc[0].signal.as_deref(), Some(reg));
+            assert_eq!(trunc[0].node, Some(node));
+        }
     }
 
     #[test]

@@ -1,14 +1,14 @@
 //! Pipelined acceptance sweep over the paper's 12-filter example suite.
 //!
 //! Every netlist the default MRP pipeline produces must survive the full
-//! pipeline story with zero spurious diagnostics: the pipelined Verilog
-//! emitter lints clean against the graph, `pipeline_by_depth` + `retime`
-//! produce a netlist that passes both the static `MRP04x` lints and the
-//! dynamic latency-adjusted equivalence gate, and the `MRP042` growth
+//! pipeline story with zero spurious diagnostics: `pipeline_by_depth` +
+//! `retime` produce a netlist that passes both the static `MRP04x` lints
+//! and the dynamic latency-adjusted equivalence gate, the RTL written from
+//! that netlist lints clean against the graph, and the `MRP042` growth
 //! bound stays silent at the width the analysis itself reports as safe.
 
 use mrp_analysis::{pipeline_and_retime, AnalysisContext, Analyzer};
-use mrp_arch::emit_verilog_pipelined;
+use mrp_arch::{emit_verilog, emit_verilog_pipelined, PipelinedNetlist};
 use mrp_core::{MrpConfig, MrpOptimizer};
 use mrp_filters::example_filters;
 use mrp_lint::{lint_graph, lint_pipelined, lint_verilog, width::min_safe_width, LintConfig};
@@ -33,6 +33,18 @@ fn suite_graphs() -> Vec<(String, mrp_arch::AdderGraph)> {
 }
 
 #[test]
+fn latency_zero_rtl_is_the_combinational_rtl_on_the_suite() {
+    for (label, graph) in suite_graphs() {
+        let net = PipelinedNetlist::new(graph.clone(), vec![0; graph.len()]);
+        assert_eq!(
+            emit_verilog_pipelined(&net, "dut", 16),
+            emit_verilog(&graph, "dut", 16),
+            "{label}"
+        );
+    }
+}
+
+#[test]
 fn pipelined_verilog_lints_clean_on_the_suite() {
     let width = 16u32;
     let config = LintConfig {
@@ -40,16 +52,17 @@ fn pipelined_verilog_lints_clean_on_the_suite() {
         ..LintConfig::default()
     };
     for (label, graph) in suite_graphs() {
-        if !graph.outputs().iter().any(|o| o.expected != 0) {
-            continue;
+        let az = Analyzer::new(&graph, AnalysisContext::default());
+        for stage_depth in [1, 2] {
+            let (net, _) = pipeline_and_retime(&az, stage_depth);
+            let src = emit_verilog_pipelined(&net, "pipe_dut", width);
+            let report = lint_verilog(&graph, &src, &config);
+            assert!(
+                report.is_clean(),
+                "{label} at stage depth {stage_depth}: pipelined RTL lint not clean\n{}",
+                report.render_pretty()
+            );
         }
-        let src = emit_verilog_pipelined(&graph, "pipe_dut", width, 1);
-        let report = lint_verilog(&graph, &src, &config);
-        assert!(
-            report.is_clean(),
-            "{label}: pipelined RTL lint not clean\n{}",
-            report.render_pretty()
-        );
     }
 }
 

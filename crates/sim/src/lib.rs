@@ -12,10 +12,7 @@
 //! * [`snr_db`] — signal-to-noise/error ratios between a fixed-point
 //!   architecture and its floating-point reference;
 //! * [`StreamingFir`] — block-based streaming around
-//!   [`mrp_arch::FirFilter`] with saturation or wrapping output modes;
-//! * [`CompiledFir`] — the same streaming semantics executed through the
-//!   `mrp-exec` compiled linear IR (lane-batched, ~10× faster), with the
-//!   tree walk kept as the differential oracle.
+//!   [`mrp_arch::FirFilter`] with saturation or wrapping output modes.
 //!
 //! # Examples
 //!
@@ -31,13 +28,11 @@
 
 #![warn(missing_docs)]
 
-mod compiled;
 mod goertzel;
 pub mod signal;
 mod snr;
 mod stream;
 
-pub use compiled::{compiled_stream_matches, impulse_response, CompiledFir};
 pub use goertzel::{goertzel, goertzel_db};
 pub use snr::{snr_db, SnrReport};
 pub use stream::{equal_with_latency, OverflowMode, StreamingFir};

@@ -124,22 +124,16 @@ impl StreamingFir {
         out
     }
 
+    /// Constrains `y` to the output width under the overflow mode.
     fn constrain(&self, y: i64) -> i64 {
-        constrain(y, self.output_width, self.mode)
-    }
-}
-
-/// Constrains `y` to `output_width` bits under `mode` — shared by the
-/// tree-walk [`StreamingFir`] and the compiled [`crate::CompiledFir`] so
-/// both paths apply identical datapath semantics.
-pub(crate) fn constrain(y: i64, output_width: u32, mode: OverflowMode) -> i64 {
-    let max = (1i64 << (output_width - 1)) - 1;
-    let min = -(1i64 << (output_width - 1));
-    match mode {
-        OverflowMode::Saturate => y.clamp(min, max),
-        OverflowMode::Wrap => {
-            let shift = 64 - output_width;
-            (y << shift) >> shift
+        let max = (1i64 << (self.output_width - 1)) - 1;
+        let min = -(1i64 << (self.output_width - 1));
+        match self.mode {
+            OverflowMode::Saturate => y.clamp(min, max),
+            OverflowMode::Wrap => {
+                let shift = 64 - self.output_width;
+                (y << shift) >> shift
+            }
         }
     }
 }

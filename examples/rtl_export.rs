@@ -4,6 +4,8 @@
 //!
 //! Run with `cargo run --example rtl_export [output.v]`.
 
+use mrpf::analysis::{pipeline_and_retime, AnalysisContext, Analyzer};
+use mrpf::arch::emit_verilog_pipelined;
 use mrpf::core::{MrpConfig, MrpOptimizer, SeedOptimizer};
 use mrpf::hwcost::{block_cost, AdderKind, Technology};
 
@@ -25,17 +27,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         None => println!("{verilog}"),
     }
 
-    // A pipelined variant of the same block, cut mid-depth (§4).
-    if result.graph.max_depth() >= 2 {
-        let cut = result.graph.max_depth() / 2;
-        let pipelined =
-            mrpf::arch::emit_verilog_pipelined(&result.graph, "mrpf_mult_block_pipe", width, cut);
-        eprintln!(
-            "// pipelined variant: cut at depth {cut}, {} registers, {} lines of Verilog",
-            mrpf::arch::cut_registers(&result.graph, cut),
-            pipelined.lines().count()
-        );
-    }
+    // A pipelined variant of the same block (§4): stages of at most half
+    // the depth, retimed, then checked against the delayed coefficients.
+    let stage_depth = result.graph.max_depth().div_ceil(2).max(1);
+    let az = Analyzer::new(&result.graph, AnalysisContext::default());
+    let (net, delta) = pipeline_and_retime(&az, stage_depth);
+    assert_eq!(net.verify_outputs_latency_adjusted(&[-7, 0, 1, 100]), None);
+    let pipelined = emit_verilog_pipelined(&net, "mrpf_mult_block_pipe", width);
+    eprintln!(
+        "// pipelined variant: stage depth {}, latency {}, {} registers, {} lines of Verilog",
+        delta.stage_depth,
+        delta.latency,
+        net.register_count(),
+        pipelined.lines().count()
+    );
 
     let tech = Technology::cmos025();
     let cost = block_cost(
