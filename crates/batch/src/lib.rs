@@ -22,10 +22,8 @@
 //! * [`parse_specs`] / [`parse_json`] — a strict, dependency-free reader
 //!   for the JSON spec-file format.
 //!
-//! The deterministic sharded exact MCM search itself lives in
-//! `mrp-exact`; this crate supplies the batch- and job-level parallelism
-//! above it, and lets its [`ThreadPool`] run the search's shard rounds.
-//! Everything is instrumented through `mrp-obs`: per-worker spans
+//! Parallelism is at the batch and job level: each exact MCM search
+//! (`mrp-exact`) runs sequentially inside one job. Everything is instrumented through `mrp-obs`: per-worker spans
 //! (`pool.worker[i]`), the `batch.cache.{hit,miss}` counters, and the
 //! `batch.pool.queue_depth` gauge.
 

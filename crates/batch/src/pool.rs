@@ -241,30 +241,6 @@ impl ThreadPool {
     }
 }
 
-/// Lets the pool drive `mrp-exact`'s sharded branch-and-bound rounds:
-/// the round job is self-scheduling (it claims shards off an internal
-/// cursor), so running one clone per worker through [`run_indexed`] —
-/// with its work-stealing and helping — satisfies the executor contract.
-/// Because the solver reads its shared bound only at round boundaries,
-/// the outcome is identical to the default scoped-thread executor.
-///
-/// [`run_indexed`]: ThreadPool::run_indexed
-impl mrp_exact::ShardExecutor for ThreadPool {
-    fn run(&self, workers: usize, job: Arc<dyn Fn() + Send + Sync>) {
-        if workers <= 1 {
-            job();
-            return;
-        }
-        let jobs: Vec<_> = (0..workers)
-            .map(|_| {
-                let job = Arc::clone(&job);
-                move || job()
-            })
-            .collect();
-        self.run_indexed(jobs);
-    }
-}
-
 impl Drop for ThreadPool {
     fn drop(&mut self) {
         self.join();
@@ -312,23 +288,6 @@ mod tests {
         let out = pool.run_indexed((0..100).map(|i| move || i * 2).collect::<Vec<_>>());
         for (i, v) in out.iter().enumerate() {
             assert_eq!(*v, Some(i * 2));
-        }
-    }
-
-    #[test]
-    fn pool_executor_matches_scoped_executor() {
-        use mrp_exact::{solve_mcm_with, McmConfig, McmProblem, ScopedExecutor, ShardExecutor};
-
-        let pool = ThreadPool::new(4);
-        let problem = McmProblem::from_targets(&[70, 66, 17, 9, 27, 41, 56, 11]);
-        for workers in [1usize, 2, 8] {
-            let cfg = McmConfig {
-                workers,
-                ..McmConfig::default()
-            };
-            let scoped = solve_mcm_with(&problem, &cfg, &ScopedExecutor);
-            let pooled = solve_mcm_with(&problem, &cfg, &pool as &dyn ShardExecutor);
-            assert_eq!(scoped, pooled, "x{workers}");
         }
     }
 

@@ -35,14 +35,15 @@
 //!   count as [`McmConfig::incumbent`]; the search only looks for
 //!   strictly better solutions, and a budget-exhausted run can therefore
 //!   never report anything worse than greedy.
-//! * **Deterministic sharding.** Root-level branches become shards run
-//!   in rounds of four with a shared best-so-far bound read only at
-//!   round boundaries, so the [`McmOutcome`] is byte-identical for any
-//!   worker count ([`ShardExecutor`]).
+//! * **Search order and budget.** Each root-level branch gets its own
+//!   depth-first search, in branch order, with the best cost so far as
+//!   its bound and a share of the node budget left. The search stops as
+//!   soon as the best cost meets the root lower bound, and the
+//!   [`McmOutcome`] is identical on every run (without a deadline).
 //!
-//! The node cap is global across shards, `budget_exhausted` reports a
-//! clipped search, and the best-so-far solution (or the standing
-//! incumbent) is still returned.
+//! The node cap counts every node, `budget_exhausted` reports a search
+//! the budget stopped with a node left unexpanded, and the best-so-far
+//! solution (or the standing incumbent) is still returned.
 //! See `docs/optimal.md` for the full algorithm write-up and
 //! `docs/results/optimality-gap.md` for measured gaps on the paper's
 //! 12-filter suite.
@@ -78,14 +79,11 @@
 #![warn(missing_docs)]
 
 mod bounds;
-mod executor;
 mod realize;
 mod solver;
 
 pub use bounds::{ceil_log2, csd_cost_floor};
-pub use executor::{ScopedExecutor, ShardExecutor};
 pub use realize::realize_recipes;
 pub use solver::{
-    solve_mcm, solve_mcm_with, McmConfig, McmOutcome, McmProblem, McmSolution, Recipe,
-    DEFAULT_MCM_NODE_BUDGET,
+    solve_mcm, McmConfig, McmOutcome, McmProblem, McmSolution, Recipe, DEFAULT_MCM_NODE_BUDGET,
 };

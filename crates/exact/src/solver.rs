@@ -1,24 +1,16 @@
-//! The deterministic sharded branch-and-bound MCM search.
+//! The sequential branch-and-bound MCM search.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use mrp_core::{CoeffSet, MrpError};
 
 use crate::bounds::csd_cost_floor;
-use crate::executor::{ScopedExecutor, ShardExecutor};
 
-/// Default global node-expansion cap for one [`solve_mcm`] call. Small
-/// enough that a pathological instance answers in seconds, large enough
-/// to prove optimality on the paper's example filters at modest widths.
+/// Default node-expansion cap for one [`solve_mcm`] call. Small enough
+/// that a pathological instance answers in seconds, large enough to
+/// prove optimality on the paper's example filters at modest widths.
 pub const DEFAULT_MCM_NODE_BUDGET: usize = 20_000;
-
-/// Shards per round: the shared bound is re-read every `SHARD_ROUND`
-/// shards. Fixed (worker-count-independent) so the search explores the
-/// same tree for any number of workers.
-const SHARD_ROUND: usize = 4;
 
 /// How one fundamental is built from two earlier ones:
 /// `value = lhs·2^shift + rhs` when `add`, else `value = |lhs·2^shift − rhs|`
@@ -124,11 +116,8 @@ impl McmProblem {
 /// Search knobs for one [`solve_mcm`] call.
 #[derive(Debug, Clone, Copy)]
 pub struct McmConfig {
-    /// Global node-expansion cap across all shards (minimum 1).
+    /// Node-expansion cap for the whole search, root included (minimum 1).
     pub node_cap: usize,
-    /// Worker threads for the sharded rounds. The outcome is identical
-    /// for any value (including 1); more workers only finish sooner.
-    pub workers: usize,
     /// Best-so-far adder count to beat, typically the greedy MRP+CSE
     /// result. The search looks only for *strictly better* solutions:
     /// with an incumbent set, [`McmOutcome::solution`] is `None` when
@@ -137,11 +126,11 @@ pub struct McmConfig {
     /// Optional adder-depth cap on every fundamental (distance from the
     /// input in adders). `None` leaves depth free.
     pub depth_limit: Option<u32>,
-    /// Optional wall-clock deadline, checked at round boundaries:
-    /// rounds starting after it run with a zero node quota, which
-    /// reports `budget_exhausted`. Unlike the node cap, a deadline makes
-    /// the outcome depend on wall-clock time (and therefore on worker
-    /// count); fully deterministic runs use the node cap alone.
+    /// Optional wall-clock deadline, checked before each root candidate:
+    /// once it has passed, the candidates not yet searched are skipped
+    /// and the outcome reports `budget_exhausted`. Unlike the node cap, a
+    /// deadline makes the outcome depend on wall-clock time; fully
+    /// deterministic runs use the node cap alone.
     pub deadline: Option<Instant>,
 }
 
@@ -149,7 +138,6 @@ impl Default for McmConfig {
     fn default() -> Self {
         McmConfig {
             node_cap: DEFAULT_MCM_NODE_BUDGET,
-            workers: 1,
             incumbent: None,
             depth_limit: None,
             deadline: None,
@@ -176,10 +164,10 @@ pub struct McmOutcome {
     pub solution: Option<McmSolution>,
     /// The admissible root lower bound on the optimal adder count.
     pub lower_bound: usize,
-    /// Nodes expanded across all shards, plus one for the root.
+    /// Nodes expanded, root included.
     pub nodes_expanded: usize,
-    /// Whether any shard hit its node quota (or a deadline zeroed a
-    /// round's quota) with its subtree unfinished.
+    /// Whether the node cap, a root candidate's share of it, or the
+    /// deadline stopped the search with a node left unexpanded.
     pub budget_exhausted: bool,
     /// Whether the final best cost is proved minimal over the bounded
     /// search space: the search ran to completion, or the best cost
@@ -264,29 +252,31 @@ struct Search<'a> {
     /// the same set reached by another insertion order — can never
     /// improve on the first visit and is skipped.
     memo: BTreeSet<Vec<i64>>,
+    /// Admissible lower bound on every complete solution (the root's):
+    /// once the best cost meets it, nothing strictly better exists.
+    floor: usize,
     best_cost: usize,
     best: Option<Vec<Recipe>>,
     nodes: usize,
     node_budget: usize,
+    /// Whether the budget stopped the search with a node left unexpanded.
+    exhausted: bool,
 }
 
 impl<'a> Search<'a> {
-    fn new(
-        problem: &'a McmProblem,
-        depth_limit: Option<u32>,
-        state: State,
-        best_cost: usize,
-        node_budget: usize,
-    ) -> Self {
+    /// An unbounded search from `state`, with no best cost yet.
+    fn new(problem: &'a McmProblem, depth_limit: Option<u32>, state: State) -> Self {
         Search {
             problem,
             depth_limit,
             state,
             memo: BTreeSet::new(),
-            best_cost,
+            floor: 0,
+            best_cost: usize::MAX,
             best: None,
             nodes: 0,
-            node_budget,
+            node_budget: usize::MAX,
+            exhausted: false,
         }
     }
 
@@ -500,10 +490,20 @@ impl<'a> Search<'a> {
         benefit
     }
 
+    /// Admissible bound: no completion of the current state beats the
+    /// best cost. Each remaining target costs one adder, any completion
+    /// also needs at least one non-target intermediate once closure has
+    /// stalled, and none costs less than the root's lower bound.
+    fn pruned(&self) -> bool {
+        let cost = self.state.recipes.len() + self.state.remaining.len() + 1;
+        cost.max(self.floor) >= self.best_cost
+    }
+
     /// One node: close over the most recent push, record or branch,
     /// undo the closure. The caller owns the push that led here.
     fn dfs(&mut self) {
         if self.nodes >= self.node_budget {
+            self.exhausted = true;
             return;
         }
         self.nodes += 1;
@@ -524,53 +524,22 @@ impl<'a> Search<'a> {
             }
             return;
         }
-        // Admissible bound: each remaining target costs one adder, and —
-        // closure having stalled — any completion also needs at least
-        // one non-target intermediate.
-        if self.state.recipes.len() + self.state.remaining.len() + 1 >= self.best_cost {
+        if self.pruned() || !self.memo.insert(self.memo_key()) {
             return;
         }
-        if !self.memo.insert(self.memo_key()) {
+        // No child could run: stop before building the successor list.
+        if self.nodes >= self.node_budget {
+            self.exhausted = true;
             return;
         }
         for r in self.ordered_successors() {
             self.state.push(r);
             self.dfs();
             self.state.pop(&self.problem.targets);
-            if self.nodes >= self.node_budget {
-                return;
-            }
-            if self.state.recipes.len() + self.state.remaining.len() + 1 >= self.best_cost {
+            if self.exhausted || self.pruned() {
                 return;
             }
         }
-    }
-}
-
-/// Result of one shard: the subtree under one forced root-level
-/// candidate, explored with a deterministic node quota and a bound
-/// frozen at the shard's round start.
-struct ShardResult {
-    best: Option<(usize, Vec<Recipe>)>,
-    nodes: usize,
-    exhausted: bool,
-}
-
-fn explore_shard(
-    problem: &McmProblem,
-    depth_limit: Option<u32>,
-    root: &State,
-    forced: Recipe,
-    round_bound: usize,
-    quota: usize,
-) -> ShardResult {
-    let mut search = Search::new(problem, depth_limit, root.clone(), round_bound, quota);
-    search.state.push(forced);
-    search.dfs();
-    ShardResult {
-        best: search.best.map(|b| (search.best_cost, b)),
-        nodes: search.nodes,
-        exhausted: search.nodes >= search.node_budget,
     }
 }
 
@@ -596,36 +565,34 @@ fn prune_recipes(recipes: &[Recipe], targets: &[i64]) -> Vec<Recipe> {
         .collect()
 }
 
-/// Solves the MCM instance with the default scoped-thread executor.
-/// See [`solve_mcm_with`] for the full contract.
-pub fn solve_mcm(problem: &McmProblem, config: &McmConfig) -> McmOutcome {
-    solve_mcm_with(problem, config, &ScopedExecutor)
-}
-
-/// Solves the MCM instance: deterministic sharded branch-and-bound with
-/// a global node budget.
+/// Solves the MCM instance: sequential branch-and-bound under a node
+/// cap, deterministic for a given problem and config (without a
+/// deadline).
 ///
-/// The root-level A-op candidates become shards, run in rounds of
-/// four on `executor`. The shared best-so-far bound is
-/// tightened (`fetch_min`) by every finished shard but read only at
-/// round starts, node quotas are carved deterministically out of the
-/// remaining budget (`remaining / shards_left`, unused quota flowing
-/// back), and the reduction takes the first shard in branch order
-/// holding the minimum cost — so the outcome is *identical for any
-/// worker count*, including 1.
+/// The root's closure is computed first; each root-level A-op candidate
+/// then gets its own depth-first search, in branch order (most promising
+/// first). A candidate's search starts from the best cost so far as its
+/// bound and may expand `max(1, remaining / candidates_left)` nodes of
+/// the budget left, so budget a candidate leaves unused flows on to the
+/// next. The search returns as soon as the best cost meets the root
+/// lower bound, since nothing strictly better exists.
 ///
 /// With [`McmConfig::incumbent`] set, only strictly better solutions are
 /// reported; `solution: None` means the incumbent stands. A
 /// budget-exhausted run keeps the best-so-far (or the incumbent), so the
 /// reported cost never regresses as the budget shrinks below what a
 /// complete search needs.
-pub fn solve_mcm_with(
-    problem: &McmProblem,
-    config: &McmConfig,
-    executor: &dyn ShardExecutor,
-) -> McmOutcome {
+pub fn solve_mcm(problem: &McmProblem, config: &McmConfig) -> McmOutcome {
     let _span = mrp_obs::span("exact.mcm");
-    let workers = config.workers.max(1);
+    let outcome = branch_and_bound(problem, config);
+    mrp_obs::counter_add("exact.mcm.nodes", outcome.nodes_expanded as u64);
+    if outcome.budget_exhausted {
+        mrp_obs::instant("exact.mcm.budget_exhausted");
+    }
+    outcome
+}
+
+fn branch_and_bound(problem: &McmProblem, config: &McmConfig) -> McmOutcome {
     let node_cap = config.node_cap.max(1);
     let incumbent = config.incumbent.unwrap_or(usize::MAX);
 
@@ -643,15 +610,8 @@ pub fn solve_mcm_with(
     }
 
     // Root node: closure from the bare input.
-    let mut root_search = Search::new(
-        problem,
-        config.depth_limit,
-        State::new(problem),
-        usize::MAX,
-        usize::MAX,
-    );
-    root_search.close_from(0);
-    let root_state = root_search.state.clone();
+    let mut root = Search::new(problem, config.depth_limit, State::new(problem));
+    root.close_from(0);
 
     let csd_floor = problem
         .targets
@@ -659,14 +619,13 @@ pub fn solve_mcm_with(
         .map(|&t| csd_cost_floor(t))
         .max()
         .unwrap_or(0);
-    let count_floor = problem.targets.len() + usize::from(!root_state.remaining.is_empty());
+    let count_floor = problem.targets.len() + usize::from(!root.state.remaining.is_empty());
     let lower_bound = csd_floor.max(count_floor);
 
-    if root_state.remaining.is_empty() {
+    if root.state.remaining.is_empty() {
         // Closure alone covered every target, one adder each — the
         // unconditional floor, so this is optimal.
-        mrp_obs::counter_add("exact.mcm.nodes", 1);
-        let recipes = prune_recipes(&root_state.recipes, &problem.targets);
+        let recipes = prune_recipes(&root.state.recipes, &problem.targets);
         let cost = recipes.len();
         return McmOutcome {
             // Strict-improvement contract: a standing incumbent at (or
@@ -682,7 +641,6 @@ pub fn solve_mcm_with(
     if incumbent <= lower_bound {
         // The greedy incumbent already meets the admissible bound; no
         // search can improve on it.
-        mrp_obs::counter_add("exact.mcm.nodes", 1);
         return McmOutcome {
             solution: None,
             lower_bound,
@@ -692,13 +650,11 @@ pub fn solve_mcm_with(
         };
     }
 
-    let shard_cands: Arc<Vec<Recipe>> = Arc::new(root_search.ordered_successors());
-    mrp_obs::counter_add("exact.mcm.shards", shard_cands.len() as u64);
-    if shard_cands.is_empty() {
+    let candidates = root.ordered_successors();
+    if candidates.is_empty() {
         // No constructible successor within the value/depth caps (only
         // reachable with extreme caps); report the incumbent standing
         // without claiming optimality.
-        mrp_obs::counter_add("exact.mcm.nodes", 1);
         return McmOutcome {
             solution: None,
             lower_bound,
@@ -707,90 +663,38 @@ pub fn solve_mcm_with(
             proven_optimal: false,
         };
     }
-
-    let problem = Arc::new(problem.clone());
-    let root_state = Arc::new(root_state);
-    let bound = Arc::new(AtomicUsize::new(incumbent));
-    let depth_limit = config.depth_limit;
-    let mut results: Vec<Option<ShardResult>> = Vec::new();
-    results.resize_with(shard_cands.len(), || None);
-    let mut remaining_budget = node_cap - 1; // root node spent
-    let mut next = 0usize;
-    while next < shard_cands.len() {
-        let round: Arc<Vec<usize>> =
-            Arc::new((next..shard_cands.len().min(next + SHARD_ROUND)).collect());
-        let shards_left = shard_cands.len() - next;
-        let deadline_passed = config.deadline.is_some_and(|d| Instant::now() >= d);
-        let quota = if deadline_passed {
-            0
-        } else {
-            remaining_budget / shards_left
-        };
-        let round_bound = bound.load(Ordering::SeqCst);
-        let cursor = Arc::new(AtomicUsize::new(0));
-        let slots: Arc<Vec<Mutex<Option<ShardResult>>>> =
-            Arc::new(round.iter().map(|_| Mutex::new(None)).collect());
-        let job = {
-            let problem = Arc::clone(&problem);
-            let root_state = Arc::clone(&root_state);
-            let bound = Arc::clone(&bound);
-            let cursor = Arc::clone(&cursor);
-            let slots = Arc::clone(&slots);
-            let round = Arc::clone(&round);
-            let shard_cands = Arc::clone(&shard_cands);
-            Arc::new(move || loop {
-                let pos = cursor.fetch_add(1, Ordering::SeqCst);
-                if pos >= round.len() {
-                    break;
-                }
-                let forced = shard_cands[round[pos]];
-                let result = explore_shard(
-                    &problem,
-                    depth_limit,
-                    &root_state,
-                    forced,
-                    round_bound,
-                    quota,
-                );
-                if let Some((cost, _)) = &result.best {
-                    bound.fetch_min(*cost, Ordering::SeqCst);
-                }
-                *slots[pos].lock().unwrap() = Some(result);
-            })
-        };
-        executor.run(workers.min(round.len()), job);
-        for (pos, &shard_idx) in round.iter().enumerate() {
-            let result = slots[pos]
-                .lock()
-                .unwrap()
-                .take()
-                .expect("every shard in the round ran");
-            remaining_budget = remaining_budget.saturating_sub(result.nodes);
-            results[shard_idx] = Some(result);
-        }
-        next += round.len();
-    }
-
-    // Deterministic reduction: the first shard (in branch order) holding
-    // the minimum cost wins; cross-round ties were already pruned by the
-    // published bound.
-    let mut best: Option<(usize, Vec<Recipe>)> = None;
-    let mut nodes = 1usize; // root
+    let mut best_cost = incumbent;
+    let mut best: Option<Vec<Recipe>> = None;
+    let mut nodes = 1usize; // the root
     let mut exhausted = false;
-    for result in results.into_iter().flatten() {
-        nodes += result.nodes;
-        exhausted |= result.exhausted;
-        if let Some((cost, recipes)) = result.best {
-            if best.as_ref().is_none_or(|(bc, _)| cost < *bc) {
-                best = Some((cost, recipes));
-            }
+    for (i, &forced) in candidates.iter().enumerate() {
+        if best_cost <= lower_bound {
+            break;
+        }
+        let remaining = node_cap - nodes;
+        if remaining == 0 || config.deadline.is_some_and(|d| Instant::now() >= d) {
+            exhausted = true;
+            break;
+        }
+        let mut search = Search {
+            floor: lower_bound,
+            best_cost,
+            // At least one node, and never more than `remaining`.
+            node_budget: (remaining / (candidates.len() - i)).max(1),
+            ..Search::new(problem, config.depth_limit, root.state.clone())
+        };
+        search.state.push(forced);
+        search.dfs();
+        nodes += search.nodes;
+        exhausted |= search.exhausted;
+        // A search records only costs strictly below its starting bound.
+        if let Some(recipes) = search.best {
+            best_cost = search.best_cost;
+            best = Some(recipes);
         }
     }
-    mrp_obs::counter_add("exact.mcm.nodes", nodes as u64);
-    if exhausted {
-        mrp_obs::instant("exact.mcm.budget_exhausted");
-    }
-    let solution = best.map(|(_, recipes)| {
+
+    let solution = best.map(|recipes| {
         let recipes = prune_recipes(&recipes, &problem.targets);
         let cost = recipes.len();
         McmSolution { recipes, cost }
@@ -904,7 +808,7 @@ mod tests {
     }
 
     #[test]
-    fn outcome_is_identical_for_every_worker_count() {
+    fn repeated_solves_are_identical() {
         let cases: Vec<Vec<i64>> = vec![
             vec![45],
             vec![43, 45],
@@ -914,31 +818,18 @@ mod tests {
         for coeffs in cases {
             for node_cap in [50usize, DEFAULT_MCM_NODE_BUDGET] {
                 let problem = McmProblem::from_targets(&coeffs);
-                let base = solve_mcm(
-                    &problem,
-                    &McmConfig {
-                        node_cap,
-                        workers: 1,
-                        ..McmConfig::default()
-                    },
+                let config = McmConfig {
+                    node_cap,
+                    ..McmConfig::default()
+                };
+                let first = solve_mcm(&problem, &config);
+                let second = solve_mcm(&problem, &config);
+                // Byte-identical, not merely equal.
+                assert_eq!(
+                    format!("{first:?}"),
+                    format!("{second:?}"),
+                    "{coeffs:?} cap {node_cap}"
                 );
-                for workers in [2usize, 8] {
-                    let other = solve_mcm(
-                        &problem,
-                        &McmConfig {
-                            node_cap,
-                            workers,
-                            ..McmConfig::default()
-                        },
-                    );
-                    assert_eq!(base, other, "{coeffs:?} cap {node_cap} x{workers}");
-                    // Byte-identical, not merely equal.
-                    assert_eq!(
-                        format!("{base:?}"),
-                        format!("{other:?}"),
-                        "{coeffs:?} cap {node_cap} x{workers}"
-                    );
-                }
             }
         }
     }
@@ -962,6 +853,25 @@ mod tests {
                 recipes_cover(&out, &targets);
             }
         }
+    }
+
+    #[test]
+    fn only_a_node_left_unexpanded_exhausts_the_budget() {
+        let problem = McmProblem::from_targets(&[123, 205, 319, 473]);
+        let search = |node_budget| {
+            let mut search = Search {
+                node_budget,
+                ..Search::new(&problem, None, State::new(&problem))
+            };
+            search.dfs();
+            (search.nodes, search.exhausted, search.best_cost)
+        };
+        let (nodes, exhausted, cost) = search(usize::MAX);
+        assert!(!exhausted && nodes > 1);
+        // Finishing exactly at the quota is not exhaustion.
+        assert_eq!(search(nodes), (nodes, false, cost));
+        let (clipped, exhausted, _) = search(nodes - 1);
+        assert!(exhausted && clipped == nodes - 1);
     }
 
     #[test]

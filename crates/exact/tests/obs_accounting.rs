@@ -31,12 +31,24 @@ fn counter_matches_outcome_when_the_node_cap_is_hit() {
         node_cap: 3,
         ..McmConfig::default()
     };
-    let (outcome, counted) = solve_counted(&[341, 173, 219, 85, 49, 33, 129], &config);
+    let (outcome, counted) = solve_counted(&[123, 205, 319, 473, 89, 333], &config);
     assert!(
         outcome.budget_exhausted,
         "fixture was expected to exhaust a 3-node budget (expanded {})",
         outcome.nodes_expanded
     );
+    assert_eq!(counted, Some(outcome.nodes_expanded as u64));
+}
+
+#[test]
+fn counter_matches_outcome_when_the_search_stops_at_the_lower_bound() {
+    let (outcome, counted) =
+        solve_counted(&[341, 173, 219, 85, 49, 33, 129], &McmConfig::default());
+    let cost = outcome.solution.as_ref().map(|s| s.cost);
+    assert_eq!(cost, Some(outcome.lower_bound), "{outcome:?}");
+    assert!(outcome.proven_optimal && !outcome.budget_exhausted);
+    // The root and the first root candidate, whose closure completes.
+    assert_eq!(outcome.nodes_expanded, 2);
     assert_eq!(counted, Some(outcome.nodes_expanded as u64));
 }
 

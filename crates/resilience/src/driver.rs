@@ -576,7 +576,6 @@ fn build_exact(
         incumbent: Some(incumbent),
         depth_limit: rung_cfg.max_depth,
         deadline: mcm_deadline,
-        ..McmConfig::default()
     };
     let out = solve_mcm(&problem, &mcm_cfg);
     let stats = ExactStats {

@@ -18,6 +18,8 @@ use mrpf::numrep::{quantize, Scaling};
 
 use mrp_resilience::{synthesize, Rung, SynthConfig};
 
+mod common;
+
 const GOLDEN: &str = "tests/golden/exact_rung.txt";
 
 /// Serializes blessing: both halves rewrite the one golden file.
@@ -27,19 +29,15 @@ fn golden_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(GOLDEN)
 }
 
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-    })
-}
-
 /// The `(W, filter index)` a golden line describes, for ordering.
 fn cell(line: &str) -> (u32, usize) {
     let mut words = line.split(' ');
-    let f = words.next().and_then(|s| s.strip_prefix('f'));
-    let w = words.next().and_then(|s| s.strip_prefix("W="));
-    match (f.and_then(|s| s.parse().ok()), w.and_then(|s| s.parse().ok())) {
-        (Some(f), Some(w)) => (w, f),
+    let f = words.next().and_then(|s| s.strip_prefix('f')?.parse().ok());
+    let w = words
+        .next()
+        .and_then(|s| s.strip_prefix("W=")?.parse().ok());
+    match (w, f) {
+        (Some(w), Some(f)) => (w, f),
         _ => panic!("malformed golden line {line:?}"),
     }
 }
@@ -66,7 +64,6 @@ fn render(w: u32, filters: &[usize]) -> Vec<String> {
                 .and_then(|a| a.exact)
                 .expect("the exact attempt carries search stats");
             let g = &outcome.graph;
-            let text = format!("{:?}{:?}", g.nodes(), g.outputs());
             format!(
                 "f{} W={w} uniform rung={} adders={} depth={} digest={:016x} \
                  nodes={} budget_exhausted={} proven_optimal={} lower_bound={}",
@@ -74,7 +71,7 @@ fn render(w: u32, filters: &[usize]) -> Vec<String> {
                 outcome.rung,
                 g.adder_count(),
                 g.max_depth(),
-                fnv1a64(text.as_bytes()),
+                common::netlist_digest(g),
                 stats.nodes,
                 stats.budget_exhausted,
                 stats.proven_optimal,

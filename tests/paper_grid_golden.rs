@@ -13,13 +13,9 @@ use mrpf::numrep::{quantize, Scaling};
 
 use mrp_resilience::{synthesize, SynthConfig};
 
-const GOLDEN: &str = "tests/golden/paper_grid.txt";
+mod common;
 
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-    })
-}
+const GOLDEN: &str = "tests/golden/paper_grid.txt";
 
 /// One line per cell, in W-major, scaling, filter order.
 fn render_grid() -> String {
@@ -37,13 +33,12 @@ fn render_grid() -> String {
                 let coeffs = quantize(taps, w, scaling).expect("quantizes").values;
                 let outcome = synthesize(&coeffs, &SynthConfig::default()).expect("synthesizes");
                 let g = &outcome.graph;
-                let text = format!("{:?}{:?}", g.nodes(), g.outputs());
                 out.push_str(&format!(
                     "f{index} W={w} {scaling} rung={} adders={} depth={} digest={:016x}\n",
                     outcome.rung,
                     g.adder_count(),
                     g.max_depth(),
-                    fnv1a64(text.as_bytes())
+                    common::netlist_digest(g)
                 ));
             }
         }
